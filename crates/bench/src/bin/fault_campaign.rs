@@ -33,13 +33,10 @@ use std::time::Instant;
 
 use dcp_bench::BENCH_SCHEMA_VERSION;
 use dcp_blocks::TokenBlockId;
-use dcp_core::{
-    BwdRecoveryPatch, FailureEvent, PlanOutput, Planner, PlannerConfig, RecoveryConfig,
-    RecoveryPatch, RecoveryPlanner,
-};
+use dcp_core::{FailureEvent, PlanOutput, Planner, PlannerConfig, RecoveryConfig, RecoveryPlanner};
 use dcp_exec::{
     execute_backward, execute_backward_recovery, execute_forward, execute_forward_recovery,
-    BatchData, BlockOut, ExecObs, SalvageCtx,
+    BatchData, BlockOut, ExecObs,
 };
 use dcp_mask::MaskSpec;
 use dcp_sched::Instr;
@@ -92,27 +89,6 @@ fn plan_batch(seed: u64) -> PlanOutput {
         })
         .collect();
     planner.plan(&seqs).expect("campaign batch plans")
-}
-
-fn fwd_salvage_ctx(patch: &RecoveryPatch) -> SalvageCtx {
-    SalvageCtx {
-        failed: patch.failed_streams.clone(),
-        salvage_comms: patch.salvage_comms.clone(),
-        producer_of: patch.producer_of.clone(),
-        reowned: patch.reowned.clone(),
-        ..SalvageCtx::default()
-    }
-}
-
-fn bwd_salvage_ctx(patch: &BwdRecoveryPatch) -> SalvageCtx {
-    SalvageCtx {
-        failed: std::collections::HashSet::from([patch.failed]),
-        salvage_comms: patch.salvage_comms.clone(),
-        producer_of_dq: patch.producer_of_dq.clone(),
-        producer_of_dkv: patch.producer_of_dkv.clone(),
-        reowned: patch.reowned.clone(),
-        ..SalvageCtx::default()
-    }
 }
 
 fn bits_of(outs: &HashMap<TokenBlockId, BlockOut>) -> Vec<u32> {
@@ -287,7 +263,7 @@ fn run_forward(seed: u64, depth2: bool, mid_patch: bool, fault_aware: bool, tall
         &patch.placement,
         &patch.fwd,
         &data,
-        &fwd_salvage_ctx(&patch),
+        &patch.verify_ctx(),
         &ExecObs::disabled(),
     ) {
         Ok(rec) => {
@@ -366,7 +342,7 @@ fn run_backward(seed: u64, tally: &mut Tally) {
         &data,
         &fwd_out,
         &d_o,
-        &bwd_salvage_ctx(&patch),
+        &patch.verify_ctx(),
         &ExecObs::disabled(),
     ) {
         Ok(rec) => {

@@ -48,7 +48,7 @@ use dcp_core::{
 use dcp_data::{pack_batches, sample_lengths, Batch, DatasetKind, MaskSetting};
 use dcp_exec::executor::{
     execute_backward, execute_forward, execute_forward_recovery, BatchData, BlockGrads, BlockOut,
-    ExecObs, SalvageCtx,
+    ExecObs,
 };
 use dcp_exec::plans_equivalent;
 use dcp_mask::MaskSpec;
@@ -708,13 +708,6 @@ fn main() {
                 pass_pm.run_phase(&out.layout, &mut fwd, "recovery_fwd", &patch.salvage_comms);
             verify_phase(&out.layout, &patch.placement, &fwd, false, &ctx)
                 .expect("optimized recovery stream must stay legal");
-            let salvage = SalvageCtx {
-                failed: patch.failed_streams.clone(),
-                salvage_comms: patch.salvage_comms.clone(),
-                producer_of: patch.producer_of.clone(),
-                reowned: patch.reowned.clone(),
-                ..SalvageCtx::default()
-            };
             let data = BatchData::random(&out.layout, 2024);
             let obs = ExecObs::disabled();
             let base_out = execute_forward_recovery(
@@ -722,19 +715,13 @@ fn main() {
                 &patch.placement,
                 &patch.fwd,
                 &data,
-                &salvage,
+                &ctx,
                 &obs,
             )
             .expect("recovery execute");
-            let opt_out = execute_forward_recovery(
-                &out.layout,
-                &patch.placement,
-                &fwd,
-                &data,
-                &salvage,
-                &obs,
-            )
-            .expect("optimized recovery execute");
+            let opt_out =
+                execute_forward_recovery(&out.layout, &patch.placement, &fwd, &data, &ctx, &obs)
+                    .expect("optimized recovery execute");
             assert_eq!(
                 base_out, opt_out,
                 "passes must preserve recovered outputs bitwise"

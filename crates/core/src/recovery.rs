@@ -145,11 +145,11 @@ pub struct RecoveryStats {
 /// The shrink-and-reshard patch for one [`FailureEvent`].
 ///
 /// `fwd` is the functional plan: `D + shard_hosts.len()` logical devices,
-/// executed with `dcp_exec::execute_forward_recovery` using a salvage
-/// context built from `failed` / `salvage_comms` / `producer_of` /
-/// `reowned`. `timing` folds the shard work onto the `D` physical ranks for
-/// the simulator. The backward phase is re-planned: `bwd_placement` assigns
-/// nothing to the failed device and `bwd` is its freshly built plan.
+/// executed with `dcp_exec::execute_forward_recovery` under
+/// [`RecoveryPatch::verify_ctx`]. `timing` folds the shard work onto the
+/// `D` physical ranks for the simulator. The backward phase is re-planned:
+/// `bwd_placement` assigns nothing to the failed device and `bwd` is its
+/// freshly built plan.
 #[derive(Debug, Clone)]
 pub struct RecoveryPatch {
     /// The most recently failed device rank (this patch's event).
@@ -191,9 +191,9 @@ pub struct RecoveryPatch {
 }
 
 impl RecoveryPatch {
-    /// The verifier context under which `fwd` passes
-    /// [`dcp_sched::verify_phase`]; mirror it into
-    /// `dcp_exec::SalvageCtx` to execute the patch.
+    /// The recovery context of `fwd`: the one value both
+    /// [`dcp_sched::verify_phase`] and `dcp_exec::execute_forward_recovery`
+    /// take.
     pub fn verify_ctx(&self) -> VerifyCtx {
         VerifyCtx {
             failed: self.failed_streams.clone(),
@@ -210,9 +210,9 @@ impl RecoveryPatch {
 /// phase** (see [`RecoveryPlanner::plan_backward_recovery`]).
 ///
 /// `bwd` is the functional patched backward phase over `D + S` logical
-/// devices, executed with `dcp_exec::execute_backward_recovery` under a
-/// salvage context mirroring [`BwdRecoveryPatch::verify_ctx`]. `timing`
-/// folds the shard work onto the `D` physical ranks for the simulator.
+/// devices, executed with `dcp_exec::execute_backward_recovery` under
+/// [`BwdRecoveryPatch::verify_ctx`]. `timing` folds the shard work onto
+/// the `D` physical ranks for the simulator.
 #[derive(Debug, Clone)]
 pub struct BwdRecoveryPatch {
     /// The failed device rank.
@@ -241,8 +241,9 @@ pub struct BwdRecoveryPatch {
 }
 
 impl BwdRecoveryPatch {
-    /// The verifier context under which `bwd` passes
-    /// [`dcp_sched::verify_phase`].
+    /// The recovery context of `bwd`: the one value both
+    /// [`dcp_sched::verify_phase`] and `dcp_exec::execute_backward_recovery`
+    /// take.
     pub fn verify_ctx(&self) -> VerifyCtx {
         VerifyCtx {
             failed: HashSet::from([self.failed]),
@@ -1104,27 +1105,6 @@ impl RecoveryPlanner {
             },
         )?;
 
-        // Every rendered patch stream must satisfy the legal-stream contract
-        // before it ships: the functional forward phase under the salvage
-        // rules, the re-planned backward phase as an ordinary plan, and the
-        // host-folded timing phase structurally (host folding legitimately
-        // leaves some waits with no incoming transfers, so the full symbolic
-        // check does not apply).
-        let verify_ctx = VerifyCtx {
-            failed: failed_streams.clone(),
-            salvage_comms: salvage_comms.clone(),
-            producer_of: producer_of.clone(),
-            producer_of_dq: HashMap::new(),
-            producer_of_dkv: HashMap::new(),
-            reowned: reowned.clone(),
-        };
-        verify_phase(layout, &placement, &patch_fwd, false, &verify_ctx)
-            .map_err(|d| DcpError::invalid_plan(format!("recovery fwd patch: {d}")))?;
-        verify_plan(layout, &bwd_placement, &bwd)
-            .map_err(|d| DcpError::invalid_plan(format!("recovery bwd plan: {d}")))?;
-        verify_structure(&timing)
-            .map_err(|d| DcpError::invalid_plan(format!("recovery timing plan: {d}")))?;
-
         let stats = RecoveryStats {
             failed_flops,
             redone_flops,
@@ -1132,11 +1112,10 @@ impl RecoveryPlanner {
             refetch_bytes,
             residual_units: view_units.iter().map(Vec::len).sum(),
             greedy_fallback,
-            plan_wall_s: t0.elapsed().as_secs_f64(),
+            plan_wall_s: 0.0,
             cascade_depth,
         };
-        self.emit_obs(failed, ev.divisions_done, &stats);
-        Ok(RecoveryPatch {
+        let mut patch = RecoveryPatch {
             failed,
             divisions_done: ev.divisions_done,
             failed_devices,
@@ -1151,7 +1130,23 @@ impl RecoveryPlanner {
             bwd_placement,
             bwd,
             stats,
-        })
+        };
+        // Every rendered patch stream must satisfy the legal-stream contract
+        // before it ships: the functional forward phase under the salvage
+        // rules, the re-planned backward phase as an ordinary plan, and the
+        // host-folded timing phase structurally (host folding legitimately
+        // leaves some waits with no incoming transfers, so the full symbolic
+        // check does not apply).
+        let ctx = patch.verify_ctx();
+        verify_phase(layout, &patch.placement, &patch.fwd, false, &ctx)
+            .map_err(|d| DcpError::invalid_plan(format!("recovery fwd patch: {d}")))?;
+        verify_plan(layout, &patch.bwd_placement, &patch.bwd)
+            .map_err(|d| DcpError::invalid_plan(format!("recovery bwd plan: {d}")))?;
+        verify_structure(&patch.timing)
+            .map_err(|d| DcpError::invalid_plan(format!("recovery timing plan: {d}")))?;
+        patch.stats.plan_wall_s = t0.elapsed().as_secs_f64();
+        self.emit_obs(failed, ev.divisions_done, &patch.stats);
+        Ok(patch)
     }
 
     /// Produces a reduction-frontier salvage patch for a failure **during
@@ -1642,20 +1637,6 @@ impl RecoveryPlanner {
             devices: tdevices,
         };
 
-        // --- 8. Verify both renderings. -----------------------------------
-        let verify_ctx = VerifyCtx {
-            failed: HashSet::from([failed]),
-            salvage_comms: salvage_comms.clone(),
-            producer_of: HashMap::new(),
-            producer_of_dq: producer_of_dq.clone(),
-            producer_of_dkv: producer_of_dkv.clone(),
-            reowned: reowned.clone(),
-        };
-        verify_phase(layout, &placement, &patch_bwd, true, &verify_ctx)
-            .map_err(|d| DcpError::invalid_plan(format!("recovery bwd patch: {d}")))?;
-        verify_structure(&timing)
-            .map_err(|d| DcpError::invalid_plan(format!("recovery bwd timing plan: {d}")))?;
-
         let stats = RecoveryStats {
             failed_flops,
             redone_flops,
@@ -1663,11 +1644,10 @@ impl RecoveryPlanner {
             refetch_bytes,
             residual_units: comps.len(),
             greedy_fallback: false,
-            plan_wall_s: t0.elapsed().as_secs_f64(),
+            plan_wall_s: 0.0,
             cascade_depth: 1,
         };
-        self.emit_obs(failed, ev.divisions_done, &stats);
-        Ok(BwdRecoveryPatch {
+        let mut patch = BwdRecoveryPatch {
             failed,
             divisions_done: ev.divisions_done,
             shard_hosts: survivors,
@@ -1679,7 +1659,17 @@ impl RecoveryPlanner {
             reowned,
             timing,
             stats,
-        })
+        };
+
+        // --- 8. Verify both renderings. -----------------------------------
+        let ctx = patch.verify_ctx();
+        verify_phase(layout, &patch.placement, &patch.bwd, true, &ctx)
+            .map_err(|d| DcpError::invalid_plan(format!("recovery bwd patch: {d}")))?;
+        verify_structure(&patch.timing)
+            .map_err(|d| DcpError::invalid_plan(format!("recovery bwd timing plan: {d}")))?;
+        patch.stats.plan_wall_s = t0.elapsed().as_secs_f64();
+        self.emit_obs(failed, ev.divisions_done, &patch.stats);
+        Ok(patch)
     }
 
     /// Shared obs emission for forward and backward patches.

@@ -1,28 +1,33 @@
-//! A cooperative multi-device interpreter for execution plans.
+//! Numerical execution of plans: the numeric effect handlers of
+//! [`dcp_sched::StreamMachine`].
 //!
-//! Each plan device is simulated as a state machine stepping through its
-//! instruction stream; devices are driven round-robin, blocking on
-//! `CommWait` until the matching data has been deposited. Transfers move
-//! through a mailbox keyed by (operation, payload):
+//! The machine steps every device's stream round-robin and checks every
+//! legality rule before an effect runs — the same machine, with no effects,
+//! is the verifier (`dcp_sched::verify`), so the executor and the verifier
+//! cannot disagree about which streams are legal. A plan that reads data
+//! it never communicated fails with [`DcpError::InvalidPlan`] carrying the
+//! machine's diagnostic (e.g. `[missing-input] device 2 instr 5: ...`)
+//! rather than producing correct-looking results: executing a plan is
+//! itself a verification.
 //!
-//! - *input* payloads (Q, KV, dO) are deposited when the **receiver**
-//!   launches the operation (model inputs exist from the start of the phase,
-//!   matching the scheduler's eager-send assumption);
-//! - *partial* payloads (O/dQ/dKV) are deposited when the **producer**
-//!   launches, i.e. after it finishes computing.
-//!
-//! Crucially, a device may only read block data it **owns** or that
-//! **arrived** through a waited operation. A plan that forgets a transfer
-//! fails with [`DcpError::InvalidPlan`] rather than silently producing
-//! correct-looking results — executing a plan is itself a verification.
+//! This module keeps only the numerics: the attention kernels (fanned out
+//! over rayon, folded in plan order so results are bitwise identical at
+//! every thread count), the reductions, one obs span per completed
+//! instruction, and output assembly. Model inputs (Q, KV, dO) are
+//! immutable, so every device reads them in place once the machine has
+//! found them local or arrived; partials travel as raw accumulators and
+//! are finalized where they are merged.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::Instant;
 
-use dcp_blocks::{BatchLayout, TokenBlockId};
+use dcp_blocks::{BatchLayout, CompBlockId, TokenBlockId};
 use dcp_obs::{Event, ObsSink, Phase as ObsPhase, Source as ObsSource, NOOP};
-use dcp_sched::{ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan, Placement};
+use dcp_sched::{
+    Effects, ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan, Placement, ReduceItem,
+    StreamMachine, VerifyCtx,
+};
 use dcp_types::{DcpError, DcpResult};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -138,31 +143,6 @@ pub struct BlockGrads {
     pub dv: Vec<f32>,
 }
 
-/// Data moving through the mailbox.
-#[derive(Debug, Clone)]
-enum Data {
-    Q(Vec<f32>),
-    Kv(Vec<f32>, Vec<f32>),
-    /// dO plus the forward O and lse of the same rows (the paper's backward
-    /// kernels need O and the softmax statistics alongside dO).
-    OutGrad {
-        d_o: Vec<f32>,
-        o: Vec<f32>,
-        lse: Vec<f32>,
-    },
-    PartialO {
-        o: Vec<f32>,
-        lse: Vec<f32>,
-    },
-    PartialDq(Vec<f32>),
-    PartialDkv(Vec<f32>, Vec<f32>),
-    /// A *raw* (un-finalized) flash-attention accumulator, salvaged from a
-    /// failing device so its replacement can keep folding blocks into it.
-    /// Shipping the finalized `(O, lse)` instead would not be bitwise equal:
-    /// finalize-then-merge and continued raw accumulation round differently.
-    Acc(BlockAcc),
-}
-
 /// Observability context for an executor call: the sink plus the iteration
 /// index stamped onto every emitted event. [`ExecObs::disabled`] is the
 /// zero-overhead default used by the plain entry points.
@@ -203,19 +183,16 @@ impl ExecObs<'static> {
     }
 }
 
-/// Shared interpreter scaffolding for one phase.
-struct Interp<'a> {
-    phase: &'a PhasePlan,
-    mailbox: HashMap<(u32, Payload), Data>,
-    /// Per device: payloads that have arrived (moved out of the mailbox).
-    avail: Vec<HashMap<Payload, Data>>,
-    /// Per device instruction pointer.
-    ip: Vec<usize>,
-    /// Observability context (inert when the sink is disabled).
+/// Per-instruction obs spans of one phase, fed by the machine's step hooks.
+struct Spans<'a> {
     obs: &'a ExecObs<'a>,
+    phase: &'a PhasePlan,
     obs_phase: ObsPhase,
+    enabled: bool,
     /// Time origin shared by every span of this phase.
     t0: Instant,
+    /// Start of the current step attempt (only when enabled).
+    started: Option<Instant>,
     /// Per device: divisions completed so far (an `Attn`/`AttnBwd`
     /// instruction closes a division).
     division: Vec<u32>,
@@ -224,75 +201,38 @@ struct Interp<'a> {
     wait_since: Vec<Option<Instant>>,
 }
 
-impl<'a> Interp<'a> {
-    fn new(
-        placement: &Placement,
-        phase: &'a PhasePlan,
-        obs: &'a ExecObs<'a>,
-        obs_phase: ObsPhase,
-    ) -> Self {
-        let n = placement.num_devices as usize;
-        Interp {
-            phase,
-            mailbox: HashMap::new(),
-            avail: vec![HashMap::new(); n],
-            ip: vec![0; n],
+impl<'a> Spans<'a> {
+    fn new(obs: &'a ExecObs<'a>, phase: &'a PhasePlan, obs_phase: ObsPhase) -> Self {
+        let n = phase.devices.len();
+        Spans {
             obs,
+            phase,
             obs_phase,
+            enabled: obs.sink.enabled(),
             t0: Instant::now(),
+            started: None,
             division: vec![0; n],
             wait_since: vec![None; n],
         }
     }
 
-    /// Runs the round-robin loop; `step` executes one instruction and
-    /// returns `Ok(true)` on progress, `Ok(false)` when blocked.
-    ///
-    /// When observability is enabled, every completed instruction emits one
-    /// span from this (serial) loop. The round-robin order depends only on
-    /// plan structure and mailbox state — rayon parallelism stays inside an
-    /// instruction — so the emitted stream is deterministic across thread
-    /// counts.
-    fn run(
-        &mut self,
-        mut step: impl FnMut(&mut Self, u32, &Instr) -> DcpResult<bool>,
-    ) -> DcpResult<()> {
-        let n = self.avail.len();
-        let enabled = self.obs.sink.enabled();
-        loop {
-            let mut progressed = false;
-            let mut all_done = true;
-            for d in 0..n {
-                loop {
-                    let idx = self.ip[d];
-                    let Some(ins) = self.phase.devices[d].instrs.get(idx) else {
-                        break;
-                    };
-                    all_done = false;
-                    let ins = ins.clone();
-                    let t_start = if enabled { Some(Instant::now()) } else { None };
-                    if step(self, d as u32, &ins)? {
-                        if let Some(t) = t_start {
-                            self.emit(d as u32, &ins, t);
-                        }
-                        self.ip[d] += 1;
-                        progressed = true;
-                    } else {
-                        if enabled && self.wait_since[d].is_none() {
-                            self.wait_since[d] = t_start;
-                        }
-                        break;
-                    }
-                }
-            }
-            if all_done {
-                return Ok(());
-            }
-            if !progressed {
-                return Err(DcpError::invalid_plan(
-                    "interpreter deadlock: no device can make progress",
-                ));
-            }
+    fn before_step(&mut self) {
+        if self.enabled {
+            self.started = Some(Instant::now());
+        }
+    }
+
+    /// Emits the span of a completed instruction, or remembers when a
+    /// blocked wait started. The machine steps devices in a serial
+    /// round-robin order that depends only on plan structure (rayon
+    /// parallelism stays inside an instruction), so the stream is
+    /// deterministic across thread counts.
+    fn after_step(&mut self, dev: u32, ins: &Instr, done: bool) {
+        let Some(t) = self.started else { return };
+        if done {
+            self.emit(dev, ins, t);
+        } else {
+            self.wait_since[dev as usize].get_or_insert(t);
         }
     }
 
@@ -300,78 +240,51 @@ impl<'a> Interp<'a> {
     /// name, per-division index, and the bytes/flops payload.
     fn emit(&mut self, dev: u32, ins: &Instr, t_start: Instant) {
         let d = dev as usize;
-        let base = Event::span(ObsSource::Executor, "")
-            .with_device(dev)
-            .with_phase(self.obs_phase);
-        let (mut ev, started) = match ins {
-            Instr::CommLaunch(cid) => {
-                let mut e = base;
-                e.name = "comm_launch".into();
-                (
-                    e.with_division(self.division[d])
-                        .with_comm(cid.0)
-                        .with_bytes(self.phase.comms[cid.0 as usize].bytes()),
-                    t_start,
-                )
-            }
-            Instr::CommWait(cid) => {
-                // The span covers the whole blocked interval, not just the
-                // final successful poll.
-                let began = self.wait_since[d].take().unwrap_or(t_start);
-                let mut e = base;
-                e.name = "comm_wait".into();
-                (
-                    e.with_division(self.division[d])
-                        .with_comm(cid.0)
-                        .with_bytes(self.phase.comms[cid.0 as usize].bytes_into(dev)),
-                    began,
-                )
-            }
-            Instr::Attn { items, flops } => {
-                let div = self.division[d];
-                self.division[d] += 1;
-                let mut e = base;
-                e.name = "attn".into();
-                (
-                    e.with_division(div)
-                        .with_flops(*flops)
-                        .with_value(items.len() as f64),
-                    t_start,
-                )
-            }
-            Instr::AttnBwd { items, flops } => {
-                let div = self.division[d];
-                self.division[d] += 1;
-                let mut e = base;
-                e.name = "attn_bwd".into();
-                (
-                    e.with_division(div)
-                        .with_flops(*flops)
-                        .with_value(items.len() as f64),
-                    t_start,
-                )
-            }
-            Instr::Reduce { items, bytes } => {
-                let mut e = base;
-                e.name = "reduce".into();
-                (
-                    e.with_division(self.division[d].saturating_sub(1))
-                        .with_bytes(*bytes)
-                        .with_value(items.len() as f64),
-                    t_start,
-                )
-            }
-            Instr::Copy { bytes } => {
-                let mut e = base;
-                e.name = "copy".into();
-                (
-                    e.with_division(self.division[d].saturating_sub(1))
-                        .with_bytes(*bytes),
-                    t_start,
-                )
-            }
+        let div = self.division[d];
+        let obs_phase = self.obs_phase;
+        let span = |name: &str, div: u32| {
+            Event::span(ObsSource::Executor, name)
+                .with_device(dev)
+                .with_phase(obs_phase)
+                .with_division(div)
         };
-        ev = ev.with_time(
+        let (ev, started) = match ins {
+            Instr::CommLaunch(cid) => (
+                span("comm_launch", div)
+                    .with_comm(cid.0)
+                    .with_bytes(self.phase.comms[cid.0 as usize].bytes()),
+                t_start,
+            ),
+            // The span covers the whole blocked interval, not just the
+            // final successful poll.
+            Instr::CommWait(cid) => (
+                span("comm_wait", div)
+                    .with_comm(cid.0)
+                    .with_bytes(self.phase.comms[cid.0 as usize].bytes_into(dev)),
+                self.wait_since[d].take().unwrap_or(t_start),
+            ),
+            Instr::Attn { items, flops } | Instr::AttnBwd { items, flops } => {
+                self.division[d] += 1;
+                let name = if matches!(ins, Instr::Attn { .. }) {
+                    "attn"
+                } else {
+                    "attn_bwd"
+                };
+                let e = span(name, div).with_flops(*flops);
+                (e.with_value(items.len() as f64), t_start)
+            }
+            Instr::Reduce { items, bytes } => (
+                span("reduce", div.saturating_sub(1))
+                    .with_bytes(*bytes)
+                    .with_value(items.len() as f64),
+                t_start,
+            ),
+            Instr::Copy { bytes } => (
+                span("copy", div.saturating_sub(1)).with_bytes(*bytes),
+                t_start,
+            ),
+        };
+        let ev = ev.with_time(
             (started - self.t0).as_secs_f64(),
             started.elapsed().as_secs_f64(),
         );
@@ -380,45 +293,249 @@ impl<'a> Interp<'a> {
 
     /// Per-device peak planned buffer gauges for this phase.
     fn emit_buffer_gauges(&self) {
-        if !self.obs.sink.enabled() {
+        if !self.enabled {
             return;
         }
         for ds in &self.phase.devices {
-            self.obs.sink.record(
-                self.obs.stamp(
-                    Event::gauge(
-                        ObsSource::Executor,
-                        "peak_buffer_bytes",
-                        ds.buffer.peak_bytes() as f64,
-                    )
-                    .with_device(ds.device)
-                    .with_phase(self.obs_phase),
-                ),
+            let gauge = Event::gauge(
+                ObsSource::Executor,
+                "peak_buffer_bytes",
+                ds.buffer.peak_bytes() as f64,
             );
+            let gauge = gauge.with_device(ds.device).with_phase(self.obs_phase);
+            self.obs.sink.record(self.obs.stamp(gauge));
+        }
+    }
+}
+
+/// Read-only kernel inputs of one batch.
+struct Kernels<'a> {
+    layout: &'a BatchLayout,
+    data: &'a BatchData,
+    qh: usize,
+    kvh: usize,
+    dim: usize,
+}
+
+impl<'a> Kernels<'a> {
+    fn new(layout: &'a BatchLayout, data: &'a BatchData) -> Self {
+        let (qh, kvh) = BatchData::head_counts(layout);
+        let dim = layout.attn.head_dim as usize;
+        Kernels {
+            layout,
+            data,
+            qh,
+            kvh,
+            dim,
         }
     }
 
-    /// Handles `CommWait`: returns false (blocked) if data is missing.
-    fn try_wait(&mut self, dev: u32, cid: u32) -> bool {
-        let op = &self.phase.comms[cid as usize];
-        let incoming: Vec<Payload> = op
-            .transfers
-            .iter()
-            .filter(|t| t.to == dev)
-            .map(|t| t.payload)
-            .collect();
-        if incoming
-            .iter()
-            .any(|p| !self.mailbox.contains_key(&(cid, *p)))
-        {
-            return false;
-        }
-        for p in incoming {
-            let data = self.mailbox.remove(&(cid, p)).expect("checked present");
-            self.avail[dev as usize].insert(p, data);
-        }
-        true
+    /// The Q and KV blocks of computation block `c` and its forward kernel
+    /// arguments, read from the model inputs in place.
+    fn args(&self, c: CompBlockId) -> (TokenBlockId, TokenBlockId, BlockArgs<'a>) {
+        let (layout, data) = (self.layout, self.data);
+        let cb = layout.comp_blocks[c.0 as usize];
+        let (qb, kb) = (cb.q_block, cb.kv_block);
+        let qtb = layout.token_blocks[qb.0 as usize];
+        let ktb = layout.token_blocks[kb.0 as usize];
+        let args = BlockArgs {
+            q: &data.q[qb.0 as usize],
+            k: &data.k[kb.0 as usize],
+            v: &data.v[kb.0 as usize],
+            qh: self.qh,
+            kvh: self.kvh,
+            dim: self.dim,
+            q_len: qtb.len as usize,
+            kv_len: ktb.len as usize,
+            q_start: qtb.start,
+            kv_start: ktb.start,
+            mask: &layout.masks[qtb.seq as usize],
+            scale: 1.0 / (self.dim as f32).sqrt(),
+        };
+        (qb, kb, args)
     }
+
+    /// Zeroed gradient sums of `kind` for token block `tb`: `[dQ]` or
+    /// `[dK, dV]`.
+    fn zero_grads(&self, kind: PayloadKind, tb: TokenBlockId) -> Vec<Vec<f32>> {
+        let len = self.layout.token_blocks[tb.0 as usize].len as usize;
+        match kind {
+            PayloadKind::PartialDq => vec![vec![0.0; len * self.qh * self.dim]],
+            _ => vec![vec![0.0; len * self.kvh * self.dim]; 2],
+        }
+    }
+}
+
+/// Forward effects: online-softmax accumulators per device and Q block.
+struct Forward<'a> {
+    k: Kernels<'a>,
+    spans: Spans<'a>,
+    accs: Vec<HashMap<TokenBlockId, BlockAcc>>,
+    finals: HashMap<TokenBlockId, BlockOut>,
+}
+
+impl Effects for Forward<'_> {
+    type Partial = BlockAcc;
+
+    fn deposit(&mut self, dev: u32, payload: Payload) -> BlockAcc {
+        self.accs[dev as usize][&payload.token_block()].clone()
+    }
+
+    fn install(&mut self, dev: u32, payload: Payload, acc: BlockAcc) {
+        self.accs[dev as usize].insert(payload.token_block(), acc);
+    }
+
+    fn attn(&mut self, dev: u32, items: &[CompBlockId]) {
+        // Compute each computation block's partial accumulator on the rayon
+        // pool, then fold the partials into the per-Q-block state in item
+        // order. The fold order is fixed by the plan, never by the
+        // scheduler, so results are bitwise identical at every thread
+        // count.
+        let k = &self.k;
+        let parts: Vec<(TokenBlockId, BlockAcc)> = items
+            .par_iter()
+            .map(|&c| {
+                let (qb, _, args) = k.args(c);
+                let mut acc = BlockAcc::new(args.q_len, args.qh, args.dim);
+                attn_block_fwd(&mut acc, args);
+                (qb, acc)
+            })
+            .collect();
+        for (qb, part) in parts {
+            match self.accs[dev as usize].entry(qb) {
+                Entry::Occupied(e) => e.into_mut().merge(&part),
+                Entry::Vacant(e) => {
+                    e.insert(part);
+                }
+            }
+        }
+    }
+
+    fn reduce(&mut self, dev: u32, item: &ReduceItem, partials: &[&BlockAcc]) {
+        // The device's own partial (if it computed locally for this block)
+        // first, then the sources in order.
+        let dim = self.k.dim;
+        let local = self.accs[dev as usize].get(&item.target);
+        let mut outs = local.into_iter().chain(partials.iter().copied());
+        let first = outs.next().expect("the machine rejects empty reductions");
+        let (o, lse) = outs.fold(first.finalize(), |(o, lse), p| {
+            let (po, plse) = p.finalize();
+            merge_outputs(&o, &lse, &po, &plse, dim)
+        });
+        self.finals.insert(item.target, BlockOut { o, lse });
+    }
+
+    fn before_step(&mut self) {
+        self.spans.before_step();
+    }
+
+    fn after_step(&mut self, dev: u32, ins: &Instr, done: bool) {
+        self.spans.after_step(dev, ins, done);
+    }
+}
+
+/// One device's gradient running sums, keyed like the machine's
+/// accumulator state: `(PartialDq, q block)` holds `[dQ]`,
+/// `(PartialDkv, kv block)` holds `[dK, dV]`.
+type GradSums = HashMap<(PayloadKind, TokenBlockId), Vec<Vec<f32>>>;
+
+/// Backward effects: gradient running sums per device.
+struct Backward<'a> {
+    k: Kernels<'a>,
+    spans: Spans<'a>,
+    fwd_out: &'a HashMap<TokenBlockId, BlockOut>,
+    d_o: &'a HashMap<TokenBlockId, Vec<f32>>,
+    sums: Vec<GradSums>,
+}
+
+impl Backward<'_> {
+    /// Adds `part` into `dev`'s running sums for `key`, zero-initialized on
+    /// first use.
+    fn add(&mut self, dev: u32, key: (PayloadKind, TokenBlockId), part: &[Vec<f32>]) {
+        let k = &self.k;
+        let acc = self.sums[dev as usize]
+            .entry(key)
+            .or_insert_with(|| k.zero_grads(key.0, key.1));
+        for (a, p) in acc.iter_mut().zip(part) {
+            for (x, y) in a.iter_mut().zip(p) {
+                *x += y;
+            }
+        }
+    }
+}
+
+impl Effects for Backward<'_> {
+    type Partial = Vec<Vec<f32>>;
+
+    fn deposit(&mut self, dev: u32, payload: Payload) -> Vec<Vec<f32>> {
+        self.sums[dev as usize][&(payload.kind(), payload.token_block())].clone()
+    }
+
+    fn install(&mut self, dev: u32, payload: Payload, sums: Vec<Vec<f32>>) {
+        self.sums[dev as usize].insert((payload.kind(), payload.token_block()), sums);
+    }
+
+    fn attn(&mut self, dev: u32, items: &[CompBlockId]) {
+        // Per-item gradient partials on the rayon pool, added into the
+        // device sums in item order: gradient addition order is fixed by
+        // the plan, so results are bitwise identical at every thread count.
+        let (k, fwd_out, d_o) = (&self.k, self.fwd_out, self.d_o);
+        type GradPart = (TokenBlockId, TokenBlockId, [Vec<f32>; 1], [Vec<f32>; 2]);
+        let parts: Vec<GradPart> = items
+            .par_iter()
+            .map(|&c| {
+                let (qb, kb, a) = k.args(c);
+                let mut pdq = vec![0.0f32; a.q_len * a.qh * a.dim];
+                let mut pdk = vec![0.0f32; a.kv_len * a.kvh * a.dim];
+                let mut pdv = vec![0.0f32; a.kv_len * a.kvh * a.dim];
+                let out = &fwd_out[&qb];
+                let args = BlockBwdArgs {
+                    fwd: a,
+                    o: &out.o,
+                    lse: &out.lse,
+                    d_o: &d_o[&qb],
+                };
+                attn_block_bwd(args, &mut pdq, &mut pdk, &mut pdv);
+                (qb, kb, [pdq], [pdk, pdv])
+            })
+            .collect();
+        for (qb, kb, dq, dkv) in parts {
+            self.add(dev, (PayloadKind::PartialDq, qb), &dq);
+            self.add(dev, (PayloadKind::PartialDkv, kb), &dkv);
+        }
+    }
+
+    fn reduce(&mut self, dev: u32, item: &ReduceItem, partials: &[&Vec<Vec<f32>>]) {
+        // A reduction creates the owner's sums even when it merges nothing.
+        let key = (item.kind, item.target);
+        self.add(dev, key, &[]);
+        for p in partials {
+            self.add(dev, key, p);
+        }
+    }
+
+    fn before_step(&mut self) {
+        self.spans.before_step();
+    }
+
+    fn after_step(&mut self, dev: u32, ins: &Instr, done: bool) {
+        self.spans.after_step(dev, ins, done);
+    }
+}
+
+/// Runs one phase through the machine with effect handler `fx`.
+fn run_phase<E: Effects>(
+    layout: &BatchLayout,
+    placement: &Placement,
+    phase: &PhasePlan,
+    backward: bool,
+    ctx: &VerifyCtx,
+    fx: &mut E,
+) -> DcpResult<()> {
+    placement.validate(layout)?;
+    StreamMachine::new(layout, placement, phase, backward, ctx)
+        .run(fx)
+        .map_err(|d| DcpError::invalid_plan(d.to_string()))
 }
 
 /// Executes the forward phase of `plan`, returning the final `(O, lse)` of
@@ -426,8 +543,9 @@ impl<'a> Interp<'a> {
 ///
 /// # Errors
 ///
-/// Returns [`DcpError::InvalidPlan`] if the plan reads data that was never
-/// communicated, deadlocks, or references unknown blocks.
+/// Returns [`DcpError::InvalidPlan`] if the plan breaks a stream-machine
+/// rule: it reads data that was never communicated, deadlocks, or
+/// references unknown blocks.
 pub fn execute_forward(
     layout: &BatchLayout,
     placement: &Placement,
@@ -449,463 +567,58 @@ pub fn execute_forward_obs(
     data: &BatchData,
     obs: &ExecObs<'_>,
 ) -> DcpResult<HashMap<TokenBlockId, BlockOut>> {
-    placement.validate(layout)?;
-    let (qh, kvh) = BatchData::head_counts(layout);
-    let dim = layout.attn.head_dim as usize;
-    let scale = 1.0 / (dim as f32).sqrt();
-    let n = placement.num_devices as usize;
-
-    let mut accs: Vec<HashMap<TokenBlockId, BlockAcc>> = vec![HashMap::new(); n];
-    let mut finals: HashMap<TokenBlockId, BlockOut> = HashMap::new();
-
-    let mut interp = Interp::new(placement, &plan.fwd, obs, ObsPhase::Fwd);
-    interp.run(|it, dev, ins| {
-        match ins {
-            Instr::CommLaunch(cid) => {
-                let op = &it.phase.comms[cid.0 as usize];
-                for tr in &op.transfers {
-                    let tb = tr.payload.token_block();
-                    match tr.payload {
-                        Payload::Q(_) if tr.to == dev => {
-                            it.mailbox.insert(
-                                (cid.0, tr.payload),
-                                Data::Q(data.q[tb.0 as usize].clone()),
-                            );
-                        }
-                        Payload::Kv(_) if tr.to == dev => {
-                            it.mailbox.insert(
-                                (cid.0, tr.payload),
-                                Data::Kv(
-                                    data.k[tb.0 as usize].clone(),
-                                    data.v[tb.0 as usize].clone(),
-                                ),
-                            );
-                        }
-                        Payload::PartialO(_, producer) if tr.from == dev => {
-                            debug_assert_eq!(producer, dev);
-                            let acc = accs[dev as usize].get(&tb).ok_or_else(|| {
-                                DcpError::invalid_plan(format!(
-                                    "device {dev} sends partial O for {tb:?} it never computed"
-                                ))
-                            })?;
-                            let (o, lse) = acc.finalize();
-                            it.mailbox
-                                .insert((cid.0, tr.payload), Data::PartialO { o, lse });
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(true)
-            }
-            Instr::CommWait(cid) => Ok(it.try_wait(dev, cid.0)),
-            Instr::Attn { items, .. } => {
-                // Hot path: resolve every item's inputs serially (so
-                // under-communication errors surface in item order), compute
-                // each computation block's partial accumulator on the rayon
-                // pool, then fold the partials into the per-Q-block state in
-                // item order. The fold order is fixed by the plan, never by
-                // the scheduler, so results are bitwise identical at every
-                // thread count (RAYON_NUM_THREADS=1 degenerates to the old
-                // serial loop).
-                let avail = &it.avail[dev as usize];
-                let mut work: Vec<(TokenBlockId, BlockArgs<'_>)> = Vec::with_capacity(items.len());
-                for &c in items {
-                    let cb = layout.comp_blocks[c.0 as usize];
-                    let qb = cb.q_block;
-                    let kb = cb.kv_block;
-                    let q_owned = placement.token_dev(qb) == dev;
-                    let kv_owned = placement.token_dev(kb) == dev;
-                    let qdata: &[f32] = if q_owned {
-                        &data.q[qb.0 as usize]
-                    } else {
-                        match avail.get(&Payload::Q(qb)) {
-                            Some(Data::Q(v)) => v,
-                            _ => {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "device {dev} computes {c:?} without Q({qb:?})"
-                                )))
-                            }
-                        }
-                    };
-                    let (kdata, vdata): (&[f32], &[f32]) = if kv_owned {
-                        (&data.k[kb.0 as usize], &data.v[kb.0 as usize])
-                    } else {
-                        match avail.get(&Payload::Kv(kb)) {
-                            Some(Data::Kv(k, v)) => (k, v),
-                            _ => {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "device {dev} computes {c:?} without KV({kb:?})"
-                                )))
-                            }
-                        }
-                    };
-                    let qtb = layout.token_blocks[qb.0 as usize];
-                    let ktb = layout.token_blocks[kb.0 as usize];
-                    work.push((
-                        qb,
-                        BlockArgs {
-                            q: qdata,
-                            k: kdata,
-                            v: vdata,
-                            qh,
-                            kvh,
-                            dim,
-                            q_len: qtb.len as usize,
-                            kv_len: ktb.len as usize,
-                            q_start: qtb.start,
-                            kv_start: ktb.start,
-                            mask: &layout.masks[qtb.seq as usize],
-                            scale,
-                        },
-                    ));
-                }
-                let parts: Vec<(TokenBlockId, BlockAcc)> = work
-                    .into_par_iter()
-                    .map(|(qb, args)| {
-                        let mut acc = BlockAcc::new(args.q_len, args.qh, args.dim);
-                        attn_block_fwd(&mut acc, args);
-                        (qb, acc)
-                    })
-                    .collect();
-                for (qb, part) in parts {
-                    match accs[dev as usize].entry(qb) {
-                        std::collections::hash_map::Entry::Occupied(e) => e.into_mut().merge(&part),
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(part);
-                        }
-                    }
-                }
-                Ok(true)
-            }
-            Instr::Reduce { items, .. } => {
-                for item in items {
-                    if item.kind != PayloadKind::PartialO {
-                        return Err(DcpError::invalid_plan(
-                            "forward reduce with non-O payload kind",
-                        ));
-                    }
-                    let tb = item.target;
-                    // Start from the device's own partial (if it computed
-                    // locally for this block).
-                    let mut merged: Option<(Vec<f32>, Vec<f32>)> =
-                        accs[dev as usize].get(&tb).map(BlockAcc::finalize);
-                    for &src in &item.sources {
-                        let p = Payload::PartialO(tb, src);
-                        let (po, plse) = match it.avail[dev as usize].get(&p) {
-                            Some(Data::PartialO { o, lse }) => (o.clone(), lse.clone()),
-                            _ => {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "device {dev} reduces {tb:?} without partial from {src}"
-                                )))
-                            }
-                        };
-                        merged = Some(match merged {
-                            None => (po, plse),
-                            Some((o, lse)) => merge_outputs(&o, &lse, &po, &plse, dim),
-                        });
-                    }
-                    let (o, lse) = merged.expect("at least one source");
-                    finals.insert(tb, BlockOut { o, lse });
-                }
-                Ok(true)
-            }
-            Instr::AttnBwd { .. } => Err(DcpError::invalid_plan("backward instr in forward phase")),
-            Instr::Copy { .. } => Ok(true),
-        }
-    })?;
-    interp.emit_buffer_gauges();
-
-    // Owned blocks whose outputs were computed entirely locally.
-    for (i, _) in layout.token_blocks.iter().enumerate() {
-        let tb = TokenBlockId(i as u32);
-        if finals.contains_key(&tb) {
-            continue;
-        }
-        let owner = placement.token_dev(tb) as usize;
-        let out = match accs[owner].get(&tb) {
-            Some(acc) => {
-                let (o, lse) = acc.finalize();
-                BlockOut { o, lse }
-            }
-            None => {
-                // No computation targets this block (possible only when the
-                // mask has no pairs in its rows).
-                let len = layout.token_blocks[i].len as usize;
-                BlockOut {
-                    o: vec![0.0; len * qh * dim],
-                    lse: vec![f32::NEG_INFINITY; len * qh],
-                }
-            }
-        };
-        finals.insert(tb, out);
-    }
-    Ok(finals)
+    let ctx = VerifyCtx::default();
+    execute_forward_recovery(layout, placement, &plan.fwd, data, &ctx, obs)
 }
 
-/// Context for executing a recovery *patch plan*: a phase in which one or
-/// more dead logical streams stop at their execution frontiers, ship their
-/// raw partial accumulators to replacement shards over dedicated salvage
-/// comm ops, and the shards finish the remaining computation and ownership
-/// duties under the original comm ids.
-#[derive(Debug, Clone, Default)]
-pub struct SalvageCtx {
-    /// Dead logical streams whose accumulators are salvaged: the failed
-    /// physical rank(s) plus any recovery-shard streams they were hosting
-    /// when they died (cascading failures compose patches, so more than one
-    /// stream can be dead at once).
-    pub failed: std::collections::HashSet<u32>,
-    /// Comm ids (indices into the phase's op table) carrying raw
-    /// accumulators from dead streams to their replacement shards.
-    pub salvage_comms: std::collections::HashSet<u32>,
-    /// For each forward partial a dead stream still owed — keyed by
-    /// `(token block, original producer)` since two dead streams may owe
-    /// partials for the same block — the shard that now finishes and
-    /// deposits it (under the original comm id, with the payload's producer
-    /// field still naming the dead stream).
-    pub producer_of: HashMap<(TokenBlockId, u32), u32>,
-    /// Same for outstanding backward dQ partials.
-    pub producer_of_dq: HashMap<(TokenBlockId, u32), u32>,
-    /// Same for outstanding backward dKV partials.
-    pub producer_of_dkv: HashMap<(TokenBlockId, u32), u32>,
-    /// Token blocks the patch re-owns away from dead streams. A dead stream
-    /// still holds their data until evacuation completes, so its truncated
-    /// prefix may keep reading them directly.
-    pub reowned: std::collections::HashSet<TokenBlockId>,
-}
-
-/// Executes the forward phase of a recovery patch plan (see [`SalvageCtx`]).
+/// Executes a forward phase under the recovery rules of `ctx` (see
+/// [`VerifyCtx`]); with the default context this *is* the normal forward
+/// executor. Under a patch's context a dead stream's raw accumulators ship
+/// over salvage ops and are installed as the waiting shard's starting
+/// state, so its residual `Attn` items fold in exactly where the dead
+/// stream left off; shards deposit the dead stream's outstanding partials
+/// under the original comm ids. Survivor streams execute verbatim, so a
+/// patch execution's outputs are bitwise identical to the unfaulted run's.
 ///
-/// Differences from [`execute_forward_obs`]:
+/// # Errors
 ///
-/// - a `CommLaunch` on a salvage op deposits the failed device's **raw**
-///   [`BlockAcc`] instead of a finalized partial;
-/// - a `CommWait` on a salvage op installs the received accumulator as the
-///   waiting shard's starting state for that Q block, so subsequent `Attn`
-///   items fold into it exactly where the failed device left off;
-/// - partial-output deposits under original comm ids are honored when the
-///   launching device is the shard [`SalvageCtx::producer_of`] names, even
-///   though the transfer's `from`/producer still name the failed device.
-///
-/// Survivor streams execute verbatim, so a patch execution's outputs are
-/// bitwise identical to the unfaulted run's.
+/// As [`execute_forward`].
 pub fn execute_forward_recovery(
     layout: &BatchLayout,
     placement: &Placement,
     phase: &PhasePlan,
     data: &BatchData,
-    ctx: &SalvageCtx,
+    ctx: &VerifyCtx,
     obs: &ExecObs<'_>,
 ) -> DcpResult<HashMap<TokenBlockId, BlockOut>> {
-    placement.validate(layout)?;
-    let (qh, kvh) = BatchData::head_counts(layout);
-    let dim = layout.attn.head_dim as usize;
-    let scale = 1.0 / (dim as f32).sqrt();
-    let n = placement.num_devices as usize;
+    let n = phase.devices.len().max(placement.num_devices as usize);
+    let mut fx = Forward {
+        k: Kernels::new(layout, data),
+        spans: Spans::new(obs, phase, ObsPhase::Fwd),
+        accs: vec![HashMap::new(); n],
+        finals: HashMap::new(),
+    };
+    run_phase(layout, placement, phase, false, ctx, &mut fx)?;
+    fx.spans.emit_buffer_gauges();
 
-    let mut accs: Vec<HashMap<TokenBlockId, BlockAcc>> = vec![HashMap::new(); n];
-    let mut finals: HashMap<TokenBlockId, BlockOut> = HashMap::new();
-
-    let mut interp = Interp::new(placement, phase, obs, ObsPhase::Fwd);
-    interp.run(|it, dev, ins| {
-        match ins {
-            Instr::CommLaunch(cid) => {
-                let op = &it.phase.comms[cid.0 as usize];
-                for tr in &op.transfers {
-                    let tb = tr.payload.token_block();
-                    match tr.payload {
-                        Payload::Q(_) if tr.to == dev => {
-                            it.mailbox.insert(
-                                (cid.0, tr.payload),
-                                Data::Q(data.q[tb.0 as usize].clone()),
-                            );
-                        }
-                        Payload::Kv(_) if tr.to == dev => {
-                            it.mailbox.insert(
-                                (cid.0, tr.payload),
-                                Data::Kv(
-                                    data.k[tb.0 as usize].clone(),
-                                    data.v[tb.0 as usize].clone(),
-                                ),
-                            );
-                        }
-                        Payload::PartialO(_, producer)
-                            if tr.from == dev
-                                || (ctx.failed.contains(&tr.from)
-                                    && ctx.producer_of.get(&(tb, producer)) == Some(&dev)) =>
-                        {
-                            debug_assert!(producer == dev || ctx.failed.contains(&producer));
-                            let acc = accs[dev as usize].get(&tb).ok_or_else(|| {
-                                DcpError::invalid_plan(format!(
-                                    "device {dev} sends partial O for {tb:?} it never computed"
-                                ))
-                            })?;
-                            if ctx.salvage_comms.contains(&cid.0) {
-                                it.mailbox
-                                    .insert((cid.0, tr.payload), Data::Acc(acc.clone()));
-                            } else {
-                                let (o, lse) = acc.finalize();
-                                it.mailbox
-                                    .insert((cid.0, tr.payload), Data::PartialO { o, lse });
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(true)
-            }
-            Instr::CommWait(cid) => {
-                if !it.try_wait(dev, cid.0) {
-                    return Ok(false);
-                }
-                if ctx.salvage_comms.contains(&cid.0) {
-                    // Install salvaged accumulators as this shard's starting
-                    // state. The schedule waits on salvage ops before any
-                    // Attn touches these Q blocks, so the entry is fresh.
-                    let op = &it.phase.comms[cid.0 as usize];
-                    for tr in op.transfers.iter().filter(|t| t.to == dev) {
-                        let tb = tr.payload.token_block();
-                        if let Some(Data::Acc(acc)) = it.avail[dev as usize].remove(&tr.payload) {
-                            if accs[dev as usize].insert(tb, acc).is_some() {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "device {dev} salvaged {tb:?} it already accumulates"
-                                )));
-                            }
-                        }
-                    }
-                }
-                Ok(true)
-            }
-            Instr::Attn { items, .. } => {
-                let avail = &it.avail[dev as usize];
-                let mut work: Vec<(TokenBlockId, BlockArgs<'_>)> = Vec::with_capacity(items.len());
-                for &c in items {
-                    let cb = layout.comp_blocks[c.0 as usize];
-                    let qb = cb.q_block;
-                    let kb = cb.kv_block;
-                    let local = |tb: TokenBlockId| {
-                        placement.token_dev(tb) == dev
-                            || (ctx.failed.contains(&dev) && ctx.reowned.contains(&tb))
-                    };
-                    let qdata: &[f32] = if local(qb) {
-                        &data.q[qb.0 as usize]
-                    } else {
-                        match avail.get(&Payload::Q(qb)) {
-                            Some(Data::Q(v)) => v,
-                            _ => {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "device {dev} computes {c:?} without Q({qb:?})"
-                                )))
-                            }
-                        }
-                    };
-                    let (kdata, vdata): (&[f32], &[f32]) = if local(kb) {
-                        (&data.k[kb.0 as usize], &data.v[kb.0 as usize])
-                    } else {
-                        match avail.get(&Payload::Kv(kb)) {
-                            Some(Data::Kv(k, v)) => (k, v),
-                            _ => {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "device {dev} computes {c:?} without KV({kb:?})"
-                                )))
-                            }
-                        }
-                    };
-                    let qtb = layout.token_blocks[qb.0 as usize];
-                    let ktb = layout.token_blocks[kb.0 as usize];
-                    work.push((
-                        qb,
-                        BlockArgs {
-                            q: qdata,
-                            k: kdata,
-                            v: vdata,
-                            qh,
-                            kvh,
-                            dim,
-                            q_len: qtb.len as usize,
-                            kv_len: ktb.len as usize,
-                            q_start: qtb.start,
-                            kv_start: ktb.start,
-                            mask: &layout.masks[qtb.seq as usize],
-                            scale,
-                        },
-                    ));
-                }
-                let parts: Vec<(TokenBlockId, BlockAcc)> = work
-                    .into_par_iter()
-                    .map(|(qb, args)| {
-                        let mut acc = BlockAcc::new(args.q_len, args.qh, args.dim);
-                        attn_block_fwd(&mut acc, args);
-                        (qb, acc)
-                    })
-                    .collect();
-                for (qb, part) in parts {
-                    match accs[dev as usize].entry(qb) {
-                        std::collections::hash_map::Entry::Occupied(e) => e.into_mut().merge(&part),
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(part);
-                        }
-                    }
-                }
-                Ok(true)
-            }
-            Instr::Reduce { items, .. } => {
-                for item in items {
-                    if item.kind != PayloadKind::PartialO {
-                        return Err(DcpError::invalid_plan(
-                            "forward reduce with non-O payload kind",
-                        ));
-                    }
-                    let tb = item.target;
-                    let mut merged: Option<(Vec<f32>, Vec<f32>)> =
-                        accs[dev as usize].get(&tb).map(BlockAcc::finalize);
-                    for &src in &item.sources {
-                        let p = Payload::PartialO(tb, src);
-                        let (po, plse) = match it.avail[dev as usize].get(&p) {
-                            Some(Data::PartialO { o, lse }) => (o.clone(), lse.clone()),
-                            _ => {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "device {dev} reduces {tb:?} without partial from {src}"
-                                )))
-                            }
-                        };
-                        merged = Some(match merged {
-                            None => (po, plse),
-                            Some((o, lse)) => merge_outputs(&o, &lse, &po, &plse, dim),
-                        });
-                    }
-                    let (o, lse) = merged.expect("at least one source");
-                    finals.insert(tb, BlockOut { o, lse });
-                }
-                Ok(true)
-            }
-            Instr::AttnBwd { .. } => Err(DcpError::invalid_plan("backward instr in forward phase")),
-            Instr::Copy { .. } => Ok(true),
-        }
-    })?;
-    interp.emit_buffer_gauges();
-
-    for (i, _) in layout.token_blocks.iter().enumerate() {
-        let tb = TokenBlockId(i as u32);
-        if finals.contains_key(&tb) {
-            continue;
-        }
-        let owner = placement.token_dev(tb) as usize;
-        let out = match accs[owner].get(&tb) {
+    // Owned blocks whose outputs were computed entirely locally; a block no
+    // computation targets (a mask with no pairs in its rows) is zero.
+    let (qh, dim) = (fx.k.qh, fx.k.dim);
+    for (i, tb) in layout.token_blocks.iter().enumerate() {
+        let id = TokenBlockId(i as u32);
+        let acc = fx.accs[placement.token_dev(id) as usize].get(&id);
+        fx.finals.entry(id).or_insert_with(|| match acc {
             Some(acc) => {
                 let (o, lse) = acc.finalize();
                 BlockOut { o, lse }
             }
-            None => {
-                let len = layout.token_blocks[i].len as usize;
-                BlockOut {
-                    o: vec![0.0; len * qh * dim],
-                    lse: vec![f32::NEG_INFINITY; len * qh],
-                }
-            }
-        };
-        finals.insert(tb, out);
+            None => BlockOut {
+                o: vec![0.0; tb.len as usize * qh * dim],
+                lse: vec![f32::NEG_INFINITY; tb.len as usize * qh],
+            },
+        });
     }
-    Ok(finals)
+    Ok(fx.finals)
 }
 
 /// Executes the backward phase of `plan`, returning the gradients of every
@@ -914,8 +627,8 @@ pub fn execute_forward_recovery(
 ///
 /// # Errors
 ///
-/// Returns [`DcpError::InvalidPlan`] on under-communication or deadlock, and
-/// [`DcpError::InvalidArgument`] if `d_o` is missing a block.
+/// Returns [`DcpError::InvalidPlan`] if the plan breaks a stream-machine
+/// rule, and [`DcpError::InvalidArgument`] if `d_o` is missing a block.
 pub fn execute_backward(
     layout: &BatchLayout,
     placement: &Placement,
@@ -924,15 +637,8 @@ pub fn execute_backward(
     fwd_out: &HashMap<TokenBlockId, BlockOut>,
     d_o: &HashMap<TokenBlockId, Vec<f32>>,
 ) -> DcpResult<HashMap<TokenBlockId, BlockGrads>> {
-    execute_backward_obs(
-        layout,
-        placement,
-        plan,
-        data,
-        fwd_out,
-        d_o,
-        &ExecObs::disabled(),
-    )
+    let obs = ExecObs::disabled();
+    execute_backward_obs(layout, placement, plan, data, fwd_out, d_o, &obs)
 }
 
 /// [`execute_backward`] with observability — the backward mirror of
@@ -946,41 +652,21 @@ pub fn execute_backward_obs(
     d_o: &HashMap<TokenBlockId, Vec<f32>>,
     obs: &ExecObs<'_>,
 ) -> DcpResult<HashMap<TokenBlockId, BlockGrads>> {
-    execute_backward_recovery(
-        layout,
-        placement,
-        &plan.bwd,
-        data,
-        fwd_out,
-        d_o,
-        &SalvageCtx::default(),
-        obs,
-    )
+    let ctx = VerifyCtx::default();
+    execute_backward_recovery(layout, placement, &plan.bwd, data, fwd_out, d_o, &ctx, obs)
 }
 
-/// Executes a backward phase under recovery semantics (see [`SalvageCtx`]) —
-/// the backward mirror of [`execute_forward_recovery`]. With the default
-/// context this *is* the normal backward executor ([`execute_backward_obs`]
-/// delegates here), byte for byte.
-///
-/// Differences from the clean path, active only under a non-default context:
-///
-/// - a `CommLaunch` on a salvage op ships a dead stream's **raw** `dQ` /
-///   `dKV` running sums (gradient accumulators are plain sums, so the raw
-///   state and the partial payload coincide — no finalize step exists);
-/// - a `CommWait` on a salvage op installs the received sums as the waiting
-///   shard's starting accumulator state, so its residual `AttnBwd` items
-///   fold in exactly where the dead stream's reduction frontier left off;
-/// - partial deposits under original comm ids are honored when the
-///   launching device is the shard [`SalvageCtx::producer_of_dq`] /
-///   [`SalvageCtx::producer_of_dkv`] names, even though the transfer's
-///   `from`/producer still name the dead stream;
-/// - dead streams' truncated prefixes may read re-owned blocks locally.
+/// Executes a backward phase under the recovery rules of `ctx` — the
+/// backward mirror of [`execute_forward_recovery`]; with the default
+/// context this *is* the normal backward executor. Salvage ops ship a dead
+/// stream's raw `dQ` / `dKV` running sums (gradient accumulators are plain
+/// sums, so the raw state and the partial payload coincide), installed as
+/// the waiting shard's starting sums at its reduction frontier.
 ///
 /// # Errors
 ///
-/// Returns [`DcpError::InvalidPlan`] on under-communication or deadlock, and
-/// [`DcpError::InvalidArgument`] if `d_o` or `fwd_out` is missing a block.
+/// As [`execute_backward`]; also [`DcpError::InvalidArgument`] if
+/// `fwd_out` is missing a block.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_backward_recovery(
     layout: &BatchLayout,
@@ -989,14 +675,9 @@ pub fn execute_backward_recovery(
     data: &BatchData,
     fwd_out: &HashMap<TokenBlockId, BlockOut>,
     d_o: &HashMap<TokenBlockId, Vec<f32>>,
-    ctx: &SalvageCtx,
+    ctx: &VerifyCtx,
     obs: &ExecObs<'_>,
 ) -> DcpResult<HashMap<TokenBlockId, BlockGrads>> {
-    placement.validate(layout)?;
-    let (qh, kvh) = BatchData::head_counts(layout);
-    let dim = layout.attn.head_dim as usize;
-    let scale = 1.0 / (dim as f32).sqrt();
-    let n = placement.num_devices as usize;
     for i in 0..layout.token_blocks.len() {
         let tb = TokenBlockId(i as u32);
         if !d_o.contains_key(&tb) || !fwd_out.contains_key(&tb) {
@@ -1005,315 +686,32 @@ pub fn execute_backward_recovery(
             )));
         }
     }
-
-    // Per device gradient accumulators (dK and dV are kept as a pair).
-    type KvGradPair = (Vec<f32>, Vec<f32>);
-    let mut dq_acc: Vec<HashMap<TokenBlockId, Vec<f32>>> = vec![HashMap::new(); n];
-    let mut dkv_acc: Vec<HashMap<TokenBlockId, KvGradPair>> = vec![HashMap::new(); n];
-
-    let mut interp = Interp::new(placement, phase, obs, ObsPhase::Bwd);
-    interp.run(|it, dev, ins| {
-        match ins {
-            Instr::CommLaunch(cid) => {
-                let op = &it.phase.comms[cid.0 as usize];
-                for tr in &op.transfers {
-                    let tb = tr.payload.token_block();
-                    match tr.payload {
-                        Payload::Q(_) if tr.to == dev => {
-                            it.mailbox.insert(
-                                (cid.0, tr.payload),
-                                Data::Q(data.q[tb.0 as usize].clone()),
-                            );
-                        }
-                        Payload::Kv(_) if tr.to == dev => {
-                            it.mailbox.insert(
-                                (cid.0, tr.payload),
-                                Data::Kv(
-                                    data.k[tb.0 as usize].clone(),
-                                    data.v[tb.0 as usize].clone(),
-                                ),
-                            );
-                        }
-                        Payload::DO(_) if tr.to == dev => {
-                            let out = &fwd_out[&tb];
-                            it.mailbox.insert(
-                                (cid.0, tr.payload),
-                                Data::OutGrad {
-                                    d_o: d_o[&tb].clone(),
-                                    o: out.o.clone(),
-                                    lse: out.lse.clone(),
-                                },
-                            );
-                        }
-                        Payload::PartialDq(_, producer)
-                            if tr.from == dev
-                                || (ctx.failed.contains(&tr.from)
-                                    && ctx.producer_of_dq.get(&(tb, producer)) == Some(&dev)) =>
-                        {
-                            debug_assert!(producer == dev || ctx.failed.contains(&producer));
-                            let g = dq_acc[dev as usize].get(&tb).ok_or_else(|| {
-                                DcpError::invalid_plan(format!(
-                                    "device {dev} sends dQ partial for {tb:?} it never computed"
-                                ))
-                            })?;
-                            it.mailbox
-                                .insert((cid.0, tr.payload), Data::PartialDq(g.clone()));
-                        }
-                        Payload::PartialDkv(_, producer)
-                            if tr.from == dev
-                                || (ctx.failed.contains(&tr.from)
-                                    && ctx.producer_of_dkv.get(&(tb, producer)) == Some(&dev)) =>
-                        {
-                            debug_assert!(producer == dev || ctx.failed.contains(&producer));
-                            let (gk, gv) = dkv_acc[dev as usize].get(&tb).ok_or_else(|| {
-                                DcpError::invalid_plan(format!(
-                                    "device {dev} sends dKV partial for {tb:?} it never computed"
-                                ))
-                            })?;
-                            it.mailbox.insert(
-                                (cid.0, tr.payload),
-                                Data::PartialDkv(gk.clone(), gv.clone()),
-                            );
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(true)
-            }
-            Instr::CommWait(cid) => {
-                if !it.try_wait(dev, cid.0) {
-                    return Ok(false);
-                }
-                if ctx.salvage_comms.contains(&cid.0) {
-                    // Install salvaged raw sums as this shard's starting
-                    // accumulator state. The schedule waits on salvage ops
-                    // before any AttnBwd touches these blocks, so the
-                    // entries are fresh.
-                    let op = &it.phase.comms[cid.0 as usize];
-                    for tr in op.transfers.iter().filter(|t| t.to == dev) {
-                        let tb = tr.payload.token_block();
-                        match it.avail[dev as usize].remove(&tr.payload) {
-                            Some(Data::PartialDq(g)) => match dq_acc[dev as usize].entry(tb) {
-                                Entry::Occupied(_) => {
-                                    return Err(DcpError::invalid_plan(format!(
-                                        "device {dev} salvaged dQ {tb:?} it already \
-                                             accumulates"
-                                    )));
-                                }
-                                Entry::Vacant(slot) => {
-                                    slot.insert(g);
-                                }
-                            },
-                            Some(Data::PartialDkv(gk, gv)) => {
-                                match dkv_acc[dev as usize].entry(tb) {
-                                    Entry::Occupied(_) => {
-                                        return Err(DcpError::invalid_plan(format!(
-                                            "device {dev} salvaged dKV {tb:?} it already \
-                                             accumulates"
-                                        )));
-                                    }
-                                    Entry::Vacant(slot) => {
-                                        slot.insert((gk, gv));
-                                    }
-                                }
-                            }
-                            Some(other) => {
-                                it.avail[dev as usize].insert(tr.payload, other);
-                            }
-                            None => {}
-                        }
-                    }
-                }
-                Ok(true)
-            }
-            Instr::AttnBwd { items, .. } => {
-                // Mirror of the forward hot path: resolve inputs serially
-                // (borrowing instead of the old per-item clones), compute
-                // per-item gradient partials on the rayon pool, then add
-                // them into the device accumulators in item order. Gradient
-                // addition order is fixed by the plan, so results are
-                // bitwise identical at every thread count.
-                let avail = &it.avail[dev as usize];
-                let mut work: Vec<(TokenBlockId, TokenBlockId, BlockBwdArgs<'_>)> =
-                    Vec::with_capacity(items.len());
-                for &c in items {
-                    let cb = layout.comp_blocks[c.0 as usize];
-                    let qb = cb.q_block;
-                    let kb = cb.kv_block;
-                    let local = |tb: TokenBlockId| {
-                        placement.token_dev(tb) == dev
-                            || (ctx.failed.contains(&dev) && ctx.reowned.contains(&tb))
-                    };
-                    let q_owned = local(qb);
-                    let kv_owned = local(kb);
-                    let qtb = layout.token_blocks[qb.0 as usize];
-                    let ktb = layout.token_blocks[kb.0 as usize];
-                    let qdata: &[f32] = if q_owned {
-                        &data.q[qb.0 as usize]
-                    } else {
-                        match avail.get(&Payload::Q(qb)) {
-                            Some(Data::Q(v)) => v,
-                            _ => {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "device {dev} bwd {c:?} without Q({qb:?})"
-                                )))
-                            }
-                        }
-                    };
-                    let (kdata, vdata): (&[f32], &[f32]) = if kv_owned {
-                        (&data.k[kb.0 as usize], &data.v[kb.0 as usize])
-                    } else {
-                        match avail.get(&Payload::Kv(kb)) {
-                            Some(Data::Kv(k, v)) => (k, v),
-                            _ => {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "device {dev} bwd {c:?} without KV({kb:?})"
-                                )))
-                            }
-                        }
-                    };
-                    let (dob, ob, lseb): (&[f32], &[f32], &[f32]) = if q_owned {
-                        let out = &fwd_out[&qb];
-                        (&d_o[&qb], &out.o, &out.lse)
-                    } else {
-                        match avail.get(&Payload::DO(qb)) {
-                            Some(Data::OutGrad { d_o, o, lse }) => (d_o, o, lse),
-                            _ => {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "device {dev} bwd {c:?} without dO({qb:?})"
-                                )))
-                            }
-                        }
-                    };
-                    work.push((
-                        qb,
-                        kb,
-                        BlockBwdArgs {
-                            fwd: BlockArgs {
-                                q: qdata,
-                                k: kdata,
-                                v: vdata,
-                                qh,
-                                kvh,
-                                dim,
-                                q_len: qtb.len as usize,
-                                kv_len: ktb.len as usize,
-                                q_start: qtb.start,
-                                kv_start: ktb.start,
-                                mask: &layout.masks[qtb.seq as usize],
-                                scale,
-                            },
-                            o: ob,
-                            lse: lseb,
-                            d_o: dob,
-                        },
-                    ));
-                }
-                type GradPart = (TokenBlockId, TokenBlockId, Vec<f32>, Vec<f32>, Vec<f32>);
-                let parts: Vec<GradPart> = work
-                    .into_par_iter()
-                    .map(|(qb, kb, args)| {
-                        let a = args.fwd;
-                        let mut pdq = vec![0.0f32; a.q_len * a.qh * a.dim];
-                        let mut pdk = vec![0.0f32; a.kv_len * a.kvh * a.dim];
-                        let mut pdv = vec![0.0f32; a.kv_len * a.kvh * a.dim];
-                        attn_block_bwd(args, &mut pdq, &mut pdk, &mut pdv);
-                        (qb, kb, pdq, pdk, pdv)
-                    })
-                    .collect();
-                for (qb, kb, pdq, pdk, pdv) in parts {
-                    let dq = dq_acc[dev as usize]
-                        .entry(qb)
-                        .or_insert_with(|| vec![0.0; pdq.len()]);
-                    for (a, b) in dq.iter_mut().zip(&pdq) {
-                        *a += b;
-                    }
-                    let kv_entry = dkv_acc[dev as usize]
-                        .entry(kb)
-                        .or_insert_with(|| (vec![0.0; pdk.len()], vec![0.0; pdv.len()]));
-                    for (a, b) in kv_entry.0.iter_mut().zip(&pdk) {
-                        *a += b;
-                    }
-                    for (a, b) in kv_entry.1.iter_mut().zip(&pdv) {
-                        *a += b;
-                    }
-                }
-                Ok(true)
-            }
-            Instr::Reduce { items, .. } => {
-                for item in items {
-                    let tb = item.target;
-                    match item.kind {
-                        PayloadKind::PartialDq => {
-                            let len = layout.token_blocks[tb.0 as usize].len as usize;
-                            let acc = dq_acc[dev as usize]
-                                .entry(tb)
-                                .or_insert_with(|| vec![0.0; len * qh * dim]);
-                            for &src in &item.sources {
-                                match it.avail[dev as usize].get(&Payload::PartialDq(tb, src)) {
-                                    Some(Data::PartialDq(g)) => {
-                                        for (a, b) in acc.iter_mut().zip(g) {
-                                            *a += b;
-                                        }
-                                    }
-                                    _ => {
-                                        return Err(DcpError::invalid_plan(format!(
-                                            "missing dQ partial for {tb:?} from {src}"
-                                        )))
-                                    }
-                                }
-                            }
-                        }
-                        PayloadKind::PartialDkv => {
-                            let len = layout.token_blocks[tb.0 as usize].len as usize;
-                            let acc = dkv_acc[dev as usize].entry(tb).or_insert_with(|| {
-                                (vec![0.0; len * kvh * dim], vec![0.0; len * kvh * dim])
-                            });
-                            for &src in &item.sources {
-                                match it.avail[dev as usize].get(&Payload::PartialDkv(tb, src)) {
-                                    Some(Data::PartialDkv(gk, gv)) => {
-                                        for (a, b) in acc.0.iter_mut().zip(gk) {
-                                            *a += b;
-                                        }
-                                        for (a, b) in acc.1.iter_mut().zip(gv) {
-                                            *a += b;
-                                        }
-                                    }
-                                    _ => {
-                                        return Err(DcpError::invalid_plan(format!(
-                                            "missing dKV partial for {tb:?} from {src}"
-                                        )))
-                                    }
-                                }
-                            }
-                        }
-                        _ => {
-                            return Err(DcpError::invalid_plan(
-                                "backward reduce with forward payload kind",
-                            ))
-                        }
-                    }
-                }
-                Ok(true)
-            }
-            Instr::Attn { .. } => Err(DcpError::invalid_plan("forward instr in backward phase")),
-            Instr::Copy { .. } => Ok(true),
-        }
-    })?;
-    interp.emit_buffer_gauges();
+    let n = phase.devices.len().max(placement.num_devices as usize);
+    let mut fx = Backward {
+        k: Kernels::new(layout, data),
+        spans: Spans::new(obs, phase, ObsPhase::Bwd),
+        fwd_out,
+        d_o,
+        sums: vec![HashMap::new(); n],
+    };
+    run_phase(layout, placement, phase, true, ctx, &mut fx)?;
+    fx.spans.emit_buffer_gauges();
 
     // Assemble owned gradients.
     let mut grads = HashMap::new();
-    for (i, tb) in layout.token_blocks.iter().enumerate() {
+    for i in 0..layout.token_blocks.len() {
         let id = TokenBlockId(i as u32);
         let owner = placement.token_dev(id) as usize;
-        let len = tb.len as usize;
-        let dq = dq_acc[owner]
-            .remove(&id)
-            .unwrap_or_else(|| vec![0.0; len * qh * dim]);
-        let (dk, dv) = dkv_acc[owner]
-            .remove(&id)
-            .unwrap_or_else(|| (vec![0.0; len * kvh * dim], vec![0.0; len * kvh * dim]));
+        let mut take = |kind| {
+            let sums = fx.sums[owner].remove(&(kind, id));
+            sums.unwrap_or_else(|| fx.k.zero_grads(kind, id))
+        };
+        let [dq]: [Vec<f32>; 1] = take(PayloadKind::PartialDq)
+            .try_into()
+            .expect("dQ sums hold one tensor");
+        let [dk, dv]: [Vec<f32>; 2] = take(PayloadKind::PartialDkv)
+            .try_into()
+            .expect("dKV sums hold two tensors");
         grads.insert(id, BlockGrads { dq, dk, dv });
     }
     Ok(grads)
@@ -1542,5 +940,62 @@ mod tests {
         }
         let res = execute_forward(&l, &p, &plan, &data);
         assert!(res.is_err(), "under-communicating plan must fail");
+    }
+
+    /// The defects the old executor panicked on or ran silently: an
+    /// out-of-range comm id, a forward reduction with nothing to merge, an
+    /// `Attn` item listed twice. The stream machine rejects each with the
+    /// verifier's diagnostic.
+    #[test]
+    fn malformed_streams_are_invalid_plans() {
+        type Mutation = fn(&BatchLayout, &Placement, &mut ExecutionPlan);
+        let cases: [(&str, Mutation); 4] = [
+            ("[comm-id-out-of-range]", |_, _, plan| {
+                let bogus = dcp_sched::CommId(plan.fwd.comms.len() as u32 + 3);
+                plan.fwd.devices[0]
+                    .instrs
+                    .insert(0, Instr::CommLaunch(bogus));
+            }),
+            ("[comm-id-out-of-range]", |_, _, plan| {
+                let bogus = dcp_sched::CommId(plan.fwd.comms.len() as u32 + 3);
+                plan.fwd.devices[0].instrs.insert(0, Instr::CommWait(bogus));
+            }),
+            ("[missing-partial]", |l, p, plan| {
+                // A block device 0 neither owns nor computes for.
+                let target = (0..l.token_blocks.len() as u32)
+                    .map(TokenBlockId)
+                    .find(|&tb| p.token_dev(tb) == 1)
+                    .unwrap();
+                let item = dcp_sched::ReduceItem {
+                    target,
+                    sources: vec![],
+                    kind: PayloadKind::PartialO,
+                };
+                let items = vec![item];
+                plan.fwd.devices[0]
+                    .instrs
+                    .push(Instr::Reduce { items, bytes: 0 });
+            }),
+            ("[duplicate-compute]", |_, _, plan| {
+                let instrs = &mut plan.fwd.devices[0].instrs;
+                let items = instrs.iter_mut().find_map(|ins| match ins {
+                    Instr::Attn { items, .. } => Some(items),
+                    _ => None,
+                });
+                let items = items.unwrap();
+                items.push(items[0]);
+            }),
+        ];
+        let l = build(&[(64, MaskSpec::Causal)], 16, 1);
+        let p = ring_placement(&l, 2);
+        let data = BatchData::random(&l, 7);
+        for (tag, mutate) in cases {
+            let mut plan = build_plan(&l, &p, &ScheduleConfig::default()).unwrap();
+            mutate(&l, &p, &mut plan);
+            match execute_forward(&l, &p, &plan, &data) {
+                Err(e @ DcpError::InvalidPlan(_)) => assert!(e.to_string().contains(tag), "{e}"),
+                other => panic!("expected InvalidPlan {tag}, got {other:?}"),
+            }
+        }
     }
 }

@@ -12,11 +12,12 @@
 //!   backward for one (Q-block, KV-block) pair.
 //! - [`reference`]: dense masked multi-head (GQA) attention forward and
 //!   backward, the ground truth.
-//! - [`executor`]: a cooperative multi-device interpreter for
-//!   [`dcp_sched::ExecutionPlan`]s. Each simulated device may only read data
-//!   it owns or data that arrived through a waited communication operation —
-//!   so a plan that under-communicates fails loudly instead of silently
-//!   reading someone else's memory.
+//! - [`executor`]: the numeric effect handlers of the plan IR's one
+//!   interpreter, [`dcp_sched::StreamMachine`]. The machine lets a device
+//!   read only data it owns or data that arrived through a waited
+//!   communication operation, and it is the same machine the verifier runs
+//!   — so a plan that under-communicates fails loudly, with the verifier's
+//!   typed diagnostic, instead of silently reading someone else's memory.
 //! - [`train`]: a tiny real transformer with handwritten backprop, used to
 //!   reproduce the loss-curve experiment (training with DCP-planned
 //!   attention vs. dense attention).
@@ -30,7 +31,6 @@ pub mod train;
 pub use executor::{
     execute_backward, execute_backward_obs, execute_backward_recovery, execute_forward,
     execute_forward_obs, execute_forward_recovery, BatchData, BlockGrads, BlockOut, ExecObs,
-    SalvageCtx,
 };
 pub use oracle::{
     forward_outputs_identical, grads_identical, plans_equivalent, random_output_grads,

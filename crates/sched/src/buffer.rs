@@ -110,13 +110,9 @@ pub fn compute_stats(
             Instr::Reduce { items, .. } => {
                 for item in items {
                     for &src in &item.sources {
-                        let payload = match item.kind {
-                            PayloadKind::PartialO => Payload::PartialO(item.target, src),
-                            PayloadKind::PartialDq => Payload::PartialDq(item.target, src),
-                            PayloadKind::PartialDkv => Payload::PartialDkv(item.target, src),
-                            _ => continue,
-                        };
-                        last_use.insert(payload, idx);
+                        if let Some(payload) = Payload::partial(item.kind, item.target, src) {
+                            last_use.insert(payload, idx);
+                        }
                     }
                 }
             }

@@ -20,9 +20,12 @@
 //! The resulting [`ExecutionPlan`] is consumed by the numerical executor
 //! (`dcp-exec`) and by the cluster simulator (`dcp-sim`), and serializes to
 //! JSON for the dataloader-to-executor handoff the paper implements with a
-//! distributed KV store.
+//! distributed KV store. [`StreamMachine`] is the plan IR's one
+//! interpreter and legality contract: the [`verify`] module runs it with no
+//! effects, `dcp-exec` with numeric ones.
 
 pub mod buffer;
+pub mod machine;
 pub mod passes;
 pub mod placement;
 pub mod plan;
@@ -31,6 +34,7 @@ pub mod schedule;
 pub mod verify;
 
 pub use buffer::BufferStats;
+pub use machine::{Effects, StreamMachine};
 pub use passes::{Pass, PassConfig, PassCx, PassManager, PassOutcome};
 pub use placement::Placement;
 pub use plan::{

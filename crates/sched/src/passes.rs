@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::buffer::compute_stats;
 use crate::placement::Placement;
-use crate::plan::{ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan};
+use crate::plan::{ExecutionPlan, Instr, Payload, PhasePlan};
 use crate::verify::instr_reads;
 
 /// Configuration of the pass pipeline.
@@ -217,12 +217,7 @@ impl Pass for DeadCommElim {
                         // alone cannot prove the launch dead.
                         cx.protected.contains(&cid.0)
                             || phase.comms[cid.0 as usize].transfers.iter().any(|t| {
-                                t.to == dev
-                                    || t.from == dev
-                                    || !matches!(
-                                        t.payload.kind(),
-                                        PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO
-                                    )
+                                t.to == dev || t.from == dev || !t.payload.kind().is_input()
                             })
                     }
                     Instr::CommWait(cid) => {
@@ -345,13 +340,10 @@ impl Pass for FuseCommLaunch {
             }
             let op = &phase.comms[cid as usize];
             !op.transfers.is_empty()
-                && op.transfers.iter().all(|t| {
-                    t.to == dev
-                        && matches!(
-                            t.payload.kind(),
-                            PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO
-                        )
-                })
+                && op
+                    .transfers
+                    .iter()
+                    .all(|t| t.to == dev && t.payload.kind().is_input())
                 && refs
                     .get(&cid)
                     .is_some_and(|r| r.len() == 1 && r.contains(&dev))

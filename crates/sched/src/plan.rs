@@ -50,6 +50,17 @@ impl Payload {
             Payload::PartialDkv(..) => PayloadKind::PartialDkv,
         }
     }
+
+    /// The partial of `kind` for token block `tb` produced on `producer`
+    /// (`None` for input kinds).
+    pub(crate) fn partial(kind: PayloadKind, tb: TokenBlockId, producer: u32) -> Option<Payload> {
+        match kind {
+            PayloadKind::PartialO => Some(Payload::PartialO(tb, producer)),
+            PayloadKind::PartialDq => Some(Payload::PartialDq(tb, producer)),
+            PayloadKind::PartialDkv => Some(Payload::PartialDkv(tb, producer)),
+            PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO => None,
+        }
+    }
 }
 
 /// Coarse classification of payloads.
@@ -67,6 +78,15 @@ pub enum PayloadKind {
     PartialDq,
     /// Partial key/value gradient.
     PartialDkv,
+}
+
+impl PayloadKind {
+    /// Whether this is a model input (Q, KV, dO) rather than a partial:
+    /// inputs are deposited by the receiver's launch, partials by the
+    /// producer's.
+    pub(crate) fn is_input(self) -> bool {
+        matches!(self, PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO)
+    }
 }
 
 /// One point-to-point transfer.

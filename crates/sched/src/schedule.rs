@@ -490,12 +490,7 @@ pub fn validate_plan(
                     Instr::CommWait(cid) => {
                         let op = &phase.comms[cid.0 as usize];
                         let receives = op.transfers.iter().any(|t| t.to == stream.device);
-                        let input_only = op.transfers.iter().all(|t| {
-                            matches!(
-                                t.payload.kind(),
-                                PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO
-                            )
-                        });
+                        let input_only = op.transfers.iter().all(|t| t.payload.kind().is_input());
                         if !receives {
                             return Err(DcpError::invalid_plan(format!(
                                 "device {} waits on op {:?} that sends it nothing",

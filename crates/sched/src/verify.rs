@@ -1,27 +1,28 @@
-//! Stream verifier: a symbolic interpreter over rendered instruction
-//! streams.
+//! Stream verifier: the plan IR's legality contract.
 //!
-//! The verifier mirrors the numerical executor's legality rules — deposit
-//! rules at `CommLaunch`, arrival rules at `CommWait`, input availability at
-//! `Attn`/`AttnBwd`, partial availability at `Reduce`, round-robin progress
-//! — without touching any data, so it runs in microseconds per plan and can
-//! gate every planner output and every recovery-patch rendering. Where the
-//! executor would return an opaque [`dcp_types::DcpError::InvalidPlan`] or
-//! deadlock, the verifier returns a typed [`Diagnostic`] naming the
-//! violated rule, the offending device and the instruction index.
+//! The rules live in one place, the [`StreamMachine`]: deposit rules at
+//! `CommLaunch`, arrival rules at `CommWait`, input availability at
+//! `Attn`/`AttnBwd`, partial availability at `Reduce`, coverage and
+//! round-robin progress. The verifier is that machine with the symbolic
+//! `()` effect handler — no data moves, so it runs in microseconds per plan
+//! and gates every planner output and every recovery-patch rendering. The
+//! numerical executor (`dcp-exec`) is the same machine with numeric
+//! handlers, so a stream the verifier accepts is exactly a stream the
+//! executor runs. Rejections are typed [`Diagnostic`]s naming the violated
+//! rule, the offending device and the instruction index.
 //!
 //! Three entry points:
 //!
 //! - [`verify_plan`]: both phases of an [`ExecutionPlan`] against its layout
 //!   and placement (normal planner outputs).
-//! - [`verify_phase`]: one phase with an explicit [`VerifyCtx`], encoding
-//!   the relaxed ownership rules of a recovery patch plan (salvage ops,
-//!   re-owned blocks, shard-deposited partials) exactly as
-//!   `dcp_exec::executor::execute_forward_recovery` interprets them.
+//! - [`verify_phase`]: one phase with an explicit [`VerifyCtx`], the
+//!   relaxed ownership rules of a recovery patch plan (salvage ops,
+//!   re-owned blocks, shard-deposited partials).
 //! - [`verify_structure`]: launch/wait/deposit structure only, for streams
 //!   with no logical placement (a recovery patch's host-folded `timing`
 //!   plan, whose self-transfers are filtered and whose waits may legally
-//!   receive nothing after folding).
+//!   receive nothing after folding). It shares the machine's round-robin
+//!   driver.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -29,9 +30,9 @@ use std::fmt;
 use dcp_blocks::{BatchLayout, TokenBlockId};
 use serde::{Deserialize, Serialize};
 
+use crate::machine::{drive, StreamMachine};
 use crate::placement::Placement;
-use crate::plan::{ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan};
-
+use crate::plan::{ExecutionPlan, Instr, Payload, PhasePlan, Transfer};
 /// Which legality rule a stream violated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ViolationKind {
@@ -107,7 +108,12 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    fn at(kind: ViolationKind, device: u32, instr: usize, message: impl Into<String>) -> Self {
+    pub(crate) fn at(
+        kind: ViolationKind,
+        device: u32,
+        instr: usize,
+        message: impl Into<String>,
+    ) -> Self {
         Diagnostic {
             kind,
             device: Some(device),
@@ -116,7 +122,7 @@ impl Diagnostic {
         }
     }
 
-    fn phase_level(kind: ViolationKind, message: impl Into<String>) -> Self {
+    pub(crate) fn phase_level(kind: ViolationKind, message: impl Into<String>) -> Self {
         Diagnostic {
             kind,
             device: None,
@@ -141,8 +147,10 @@ impl fmt::Display for Diagnostic {
 /// Result alias for verifier entry points.
 pub type VerifyResult = Result<(), Diagnostic>;
 
-/// Recovery semantics for [`verify_phase`], mirroring the executor's
-/// `SalvageCtx`. The default context encodes a normal (non-recovery) plan.
+/// Recovery semantics of a phase: the one context both the verifier and
+/// the executor (`dcp_exec::execute_*_recovery`) take. The default context
+/// encodes a normal (non-recovery) plan; `RecoveryPatch::verify_ctx` and
+/// `BwdRecoveryPatch::verify_ctx` in `dcp-core` build the others.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyCtx {
     /// Dead logical streams of a recovery patch: the failed physical
@@ -170,8 +178,16 @@ pub struct VerifyCtx {
 }
 
 impl VerifyCtx {
-    fn is_failed(&self, dev: u32) -> bool {
-        self.failed.contains(&dev)
+    /// The shard that deposits a dead stream's outstanding `partial` in its
+    /// stead, if any.
+    pub(crate) fn replacement(&self, partial: Payload) -> Option<u32> {
+        let (map, key) = match partial {
+            Payload::PartialO(tb, p) => (&self.producer_of, (tb, p)),
+            Payload::PartialDq(tb, p) => (&self.producer_of_dq, (tb, p)),
+            Payload::PartialDkv(tb, p) => (&self.producer_of_dkv, (tb, p)),
+            Payload::Q(_) | Payload::Kv(_) | Payload::DO(_) => return None,
+        };
+        map.get(&key).copied()
     }
 }
 
@@ -196,15 +212,10 @@ pub(crate) fn instr_reads(layout: &BatchLayout, ins: &Instr, out: &mut HashSet<P
         }
         Instr::Reduce { items, .. } => {
             for item in items {
-                for &src in &item.sources {
-                    let p = match item.kind {
-                        PayloadKind::PartialO => Payload::PartialO(item.target, src),
-                        PayloadKind::PartialDq => Payload::PartialDq(item.target, src),
-                        PayloadKind::PartialDkv => Payload::PartialDkv(item.target, src),
-                        _ => continue,
-                    };
-                    out.insert(p);
-                }
+                let sources = item.sources.iter();
+                out.extend(
+                    sources.filter_map(|&src| Payload::partial(item.kind, item.target, src)),
+                );
             }
         }
         _ => {}
@@ -227,33 +238,13 @@ pub fn verify_plan(
     verify_phase(layout, placement, &plan.bwd, true, &ctx)
 }
 
-/// Symbolic state of one phase verification.
-struct SymState {
-    /// Per device: payloads that have arrived, flagged raw-accumulator.
-    avail: Vec<HashMap<Payload, bool>>,
-    /// In-flight deposits keyed `(comm id, payload)`, flagged
-    /// raw-accumulator.
-    mailbox: HashMap<(u32, Payload), bool>,
-    /// Per device: forward accumulators / backward dQ / backward dKV state.
-    acc: Vec<HashSet<TokenBlockId>>,
-    dq: Vec<HashSet<TokenBlockId>>,
-    dkv: Vec<HashSet<TokenBlockId>>,
-    /// Per device: comm ids launched so far.
-    launched: Vec<HashSet<u32>>,
-    /// Computation blocks executed so far.
-    seen: Vec<bool>,
-}
-
-/// Verifies one phase with explicit recovery semantics, mirroring the
-/// executor instruction by instruction (round-robin progress, deposit and
-/// arrival rules, accumulator state).
+/// Verifies one phase with explicit recovery semantics: the
+/// [`StreamMachine`] with no effects.
 ///
 /// # Errors
 ///
 /// Returns the first [`Diagnostic`] encountered; blocked progress surfaces
 /// as [`ViolationKind::Deadlock`] anchored at the first stalled device.
-// The round-robin executor indexes `ip` and `phase.devices` in lockstep.
-#[allow(clippy::needless_range_loop)]
 pub fn verify_phase(
     layout: &BatchLayout,
     placement: &Placement,
@@ -261,450 +252,7 @@ pub fn verify_phase(
     backward: bool,
     ctx: &VerifyCtx,
 ) -> VerifyResult {
-    let n = phase.devices.len();
-    let mut st = SymState {
-        avail: vec![HashMap::new(); n],
-        mailbox: HashMap::new(),
-        acc: vec![HashSet::new(); n],
-        dq: vec![HashSet::new(); n],
-        dkv: vec![HashSet::new(); n],
-        launched: vec![HashSet::new(); n],
-        seen: vec![false; layout.comp_blocks.len()],
-    };
-    let mut ip = vec![0usize; n];
-    loop {
-        let mut progressed = false;
-        let mut all_done = true;
-        for d in 0..n {
-            loop {
-                let idx = ip[d];
-                let Some(ins) = phase.devices[d].instrs.get(idx) else {
-                    break;
-                };
-                all_done = false;
-                if step(
-                    layout, placement, phase, backward, ctx, &mut st, d as u32, idx, ins,
-                )? {
-                    ip[d] += 1;
-                    progressed = true;
-                } else {
-                    break;
-                }
-            }
-        }
-        if all_done {
-            break;
-        }
-        if !progressed {
-            let d = (0..n)
-                .find(|&d| ip[d] < phase.devices[d].instrs.len())
-                .expect("some device is blocked");
-            return Err(Diagnostic::at(
-                ViolationKind::Deadlock,
-                phase.devices[d].device,
-                ip[d],
-                "no device can make progress (missing launch or circular wait)",
-            ));
-        }
-    }
-    // Coverage: every computation block executed exactly once, on its
-    // assigned device (duplicates and wrong devices are caught in-stream).
-    if let Some(missing) = st.seen.iter().position(|&s| !s) {
-        return Err(Diagnostic::phase_level(
-            ViolationKind::MissingCompute,
-            format!("comp block {missing} never scheduled in this phase"),
-        ));
-    }
-    Ok(())
-}
-
-/// Kinds of payload legal in each phase direction.
-fn kind_in_phase(kind: PayloadKind, backward: bool) -> bool {
-    match kind {
-        PayloadKind::Q | PayloadKind::Kv => true,
-        PayloadKind::PartialO => !backward,
-        PayloadKind::DO | PayloadKind::PartialDq | PayloadKind::PartialDkv => backward,
-    }
-}
-
-/// Executes one symbolic instruction; `Ok(false)` means blocked on a wait.
-#[allow(clippy::too_many_arguments)]
-fn step(
-    layout: &BatchLayout,
-    placement: &Placement,
-    phase: &PhasePlan,
-    backward: bool,
-    ctx: &VerifyCtx,
-    st: &mut SymState,
-    dev: u32,
-    idx: usize,
-    ins: &Instr,
-) -> Result<bool, Diagnostic> {
-    let d = dev as usize;
-    match ins {
-        Instr::CommLaunch(cid) => {
-            if cid.0 as usize >= phase.comms.len() {
-                return Err(Diagnostic::at(
-                    ViolationKind::CommIdOutOfRange,
-                    dev,
-                    idx,
-                    format!("launch of comm id {} outside op table", cid.0),
-                ));
-            }
-            let op = &phase.comms[cid.0 as usize];
-            // Route checks for every transfer of the op (anchored at the
-            // launch, the first stream position that references the op).
-            for tr in &op.transfers {
-                if tr.from == tr.to {
-                    return Err(Diagnostic::at(
-                        ViolationKind::SelfTransfer,
-                        dev,
-                        idx,
-                        format!(
-                            "op {} transfer {:?} sends a device its own data",
-                            cid.0, tr.payload
-                        ),
-                    ));
-                }
-                if !kind_in_phase(tr.payload.kind(), backward) {
-                    return Err(Diagnostic::at(
-                        ViolationKind::WrongPhase,
-                        dev,
-                        idx,
-                        format!(
-                            "op {} carries {:?} in the {} phase",
-                            cid.0,
-                            tr.payload.kind(),
-                            if backward { "backward" } else { "forward" }
-                        ),
-                    ));
-                }
-                let tb = tr.payload.token_block();
-                let owner = placement.token_dev(tb);
-                let ok = match tr.payload {
-                    Payload::Q(_) | Payload::Kv(_) | Payload::DO(_) => {
-                        tr.from == owner || (ctx.is_failed(tr.from) && ctx.reowned.contains(&tb))
-                    }
-                    Payload::PartialO(_, p)
-                    | Payload::PartialDq(_, p)
-                    | Payload::PartialDkv(_, p) => {
-                        tr.from == p && (tr.to == owner || ctx.salvage_comms.contains(&cid.0))
-                    }
-                };
-                if !ok {
-                    return Err(Diagnostic::at(
-                        ViolationKind::BadRoute,
-                        dev,
-                        idx,
-                        format!("op {} transfer {tr:?} inconsistent with ownership", cid.0),
-                    ));
-                }
-            }
-            // Deposits, exactly as the executor performs them.
-            for tr in &op.transfers {
-                let tb = tr.payload.token_block();
-                let deposit = match tr.payload {
-                    Payload::Q(_) | Payload::Kv(_) | Payload::DO(_) => tr.to == dev,
-                    Payload::PartialO(_, p) if !backward => {
-                        tr.from == dev
-                            || (ctx.is_failed(tr.from)
-                                && ctx.producer_of.get(&(tb, p)) == Some(&dev))
-                    }
-                    Payload::PartialDq(_, p) if backward => {
-                        tr.from == dev
-                            || (ctx.is_failed(tr.from)
-                                && ctx.producer_of_dq.get(&(tb, p)) == Some(&dev))
-                    }
-                    Payload::PartialDkv(_, p) if backward => {
-                        tr.from == dev
-                            || (ctx.is_failed(tr.from)
-                                && ctx.producer_of_dkv.get(&(tb, p)) == Some(&dev))
-                    }
-                    _ => false,
-                };
-                if !deposit {
-                    continue;
-                }
-                match tr.payload {
-                    Payload::Q(_) | Payload::Kv(_) | Payload::DO(_) => {
-                        st.mailbox.insert((cid.0, tr.payload), false);
-                    }
-                    Payload::PartialO(..) => {
-                        if !st.acc[d].contains(&tb) {
-                            return Err(Diagnostic::at(
-                                ViolationKind::MissingProducerState,
-                                dev,
-                                idx,
-                                format!("sends partial O for {tb:?} it never computed"),
-                            ));
-                        }
-                        let is_acc = ctx.salvage_comms.contains(&cid.0);
-                        st.mailbox.insert((cid.0, tr.payload), is_acc);
-                    }
-                    Payload::PartialDq(..) => {
-                        if !st.dq[d].contains(&tb) {
-                            return Err(Diagnostic::at(
-                                ViolationKind::MissingProducerState,
-                                dev,
-                                idx,
-                                format!("sends dQ partial for {tb:?} it never computed"),
-                            ));
-                        }
-                        let is_acc = ctx.salvage_comms.contains(&cid.0);
-                        st.mailbox.insert((cid.0, tr.payload), is_acc);
-                    }
-                    Payload::PartialDkv(..) => {
-                        if !st.dkv[d].contains(&tb) {
-                            return Err(Diagnostic::at(
-                                ViolationKind::MissingProducerState,
-                                dev,
-                                idx,
-                                format!("sends dKV partial for {tb:?} it never computed"),
-                            ));
-                        }
-                        let is_acc = ctx.salvage_comms.contains(&cid.0);
-                        st.mailbox.insert((cid.0, tr.payload), is_acc);
-                    }
-                }
-            }
-            st.launched[d].insert(cid.0);
-            Ok(true)
-        }
-        Instr::CommWait(cid) => {
-            if cid.0 as usize >= phase.comms.len() {
-                return Err(Diagnostic::at(
-                    ViolationKind::CommIdOutOfRange,
-                    dev,
-                    idx,
-                    format!("wait on comm id {} outside op table", cid.0),
-                ));
-            }
-            let op = &phase.comms[cid.0 as usize];
-            let incoming: Vec<Payload> = op
-                .transfers
-                .iter()
-                .filter(|t| t.to == dev)
-                .map(|t| t.payload)
-                .collect();
-            if incoming.is_empty() {
-                return Err(Diagnostic::at(
-                    ViolationKind::WaitReceivesNothing,
-                    dev,
-                    idx,
-                    format!("waits on op {} that sends it nothing", cid.0),
-                ));
-            }
-            // Input fetches are receiver-launched; a wait on an input-only
-            // op without a prior launch in the same stream can never be
-            // satisfied by another device.
-            let input_only = op.transfers.iter().all(|t| {
-                matches!(
-                    t.payload.kind(),
-                    PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO
-                )
-            });
-            if input_only && !st.launched[d].contains(&cid.0) {
-                return Err(Diagnostic::at(
-                    ViolationKind::WaitWithoutLaunch,
-                    dev,
-                    idx,
-                    format!("waits on input op {} before launching it", cid.0),
-                ));
-            }
-            if incoming
-                .iter()
-                .any(|p| !st.mailbox.contains_key(&(cid.0, *p)))
-            {
-                return Ok(false);
-            }
-            for p in incoming {
-                let is_acc = st.mailbox.remove(&(cid.0, p)).expect("checked present");
-                st.avail[d].insert(p, is_acc);
-            }
-            if ctx.salvage_comms.contains(&cid.0) {
-                for tr in op.transfers.iter().filter(|t| t.to == dev) {
-                    let tb = tr.payload.token_block();
-                    if st.avail[d].get(&tr.payload) == Some(&true) {
-                        st.avail[d].remove(&tr.payload);
-                        // Raw accumulators resume the dead stream's state:
-                        // forward O/LSE accs, or backward dQ/dKV sums.
-                        let target = match tr.payload {
-                            Payload::PartialDq(..) => &mut st.dq[d],
-                            Payload::PartialDkv(..) => &mut st.dkv[d],
-                            _ => &mut st.acc[d],
-                        };
-                        if !target.insert(tb) {
-                            return Err(Diagnostic::at(
-                                ViolationKind::DuplicateSalvage,
-                                dev,
-                                idx,
-                                format!("salvaged {tb:?} it already accumulates"),
-                            ));
-                        }
-                    }
-                }
-            }
-            Ok(true)
-        }
-        Instr::Attn { items, .. } => {
-            if backward {
-                return Err(Diagnostic::at(
-                    ViolationKind::WrongPhase,
-                    dev,
-                    idx,
-                    "forward attention in backward phase",
-                ));
-            }
-            for &c in items {
-                if placement.comp_dev(c) != dev {
-                    return Err(Diagnostic::at(
-                        ViolationKind::WrongDevice,
-                        dev,
-                        idx,
-                        format!(
-                            "comp block {c:?} belongs to device {}",
-                            placement.comp_dev(c)
-                        ),
-                    ));
-                }
-                if st.seen[c.0 as usize] {
-                    return Err(Diagnostic::at(
-                        ViolationKind::DuplicateCompute,
-                        dev,
-                        idx,
-                        format!("comp block {c:?} scheduled twice"),
-                    ));
-                }
-                st.seen[c.0 as usize] = true;
-                let cb = &layout.comp_blocks[c.0 as usize];
-                let local = |tb: TokenBlockId| {
-                    placement.token_dev(tb) == dev
-                        || (ctx.is_failed(dev) && ctx.reowned.contains(&tb))
-                };
-                if !local(cb.q_block) && st.avail[d].get(&Payload::Q(cb.q_block)) != Some(&false) {
-                    return Err(Diagnostic::at(
-                        ViolationKind::MissingInput,
-                        dev,
-                        idx,
-                        format!("computes {c:?} without Q({:?})", cb.q_block),
-                    ));
-                }
-                if !local(cb.kv_block) && st.avail[d].get(&Payload::Kv(cb.kv_block)) != Some(&false)
-                {
-                    return Err(Diagnostic::at(
-                        ViolationKind::MissingInput,
-                        dev,
-                        idx,
-                        format!("computes {c:?} without KV({:?})", cb.kv_block),
-                    ));
-                }
-                st.acc[d].insert(cb.q_block);
-            }
-            Ok(true)
-        }
-        Instr::AttnBwd { items, .. } => {
-            if !backward {
-                return Err(Diagnostic::at(
-                    ViolationKind::WrongPhase,
-                    dev,
-                    idx,
-                    "backward attention in forward phase",
-                ));
-            }
-            for &c in items {
-                if placement.comp_dev(c) != dev {
-                    return Err(Diagnostic::at(
-                        ViolationKind::WrongDevice,
-                        dev,
-                        idx,
-                        format!(
-                            "comp block {c:?} belongs to device {}",
-                            placement.comp_dev(c)
-                        ),
-                    ));
-                }
-                if st.seen[c.0 as usize] {
-                    return Err(Diagnostic::at(
-                        ViolationKind::DuplicateCompute,
-                        dev,
-                        idx,
-                        format!("comp block {c:?} scheduled twice"),
-                    ));
-                }
-                st.seen[c.0 as usize] = true;
-                let cb = &layout.comp_blocks[c.0 as usize];
-                let local = |tb: TokenBlockId| {
-                    placement.token_dev(tb) == dev
-                        || (ctx.is_failed(dev) && ctx.reowned.contains(&tb))
-                };
-                let q_owned = local(cb.q_block);
-                let kv_owned = local(cb.kv_block);
-                if !q_owned && st.avail[d].get(&Payload::Q(cb.q_block)) != Some(&false) {
-                    return Err(Diagnostic::at(
-                        ViolationKind::MissingInput,
-                        dev,
-                        idx,
-                        format!("bwd {c:?} without Q({:?})", cb.q_block),
-                    ));
-                }
-                if !kv_owned && st.avail[d].get(&Payload::Kv(cb.kv_block)) != Some(&false) {
-                    return Err(Diagnostic::at(
-                        ViolationKind::MissingInput,
-                        dev,
-                        idx,
-                        format!("bwd {c:?} without KV({:?})", cb.kv_block),
-                    ));
-                }
-                if !q_owned && st.avail[d].get(&Payload::DO(cb.q_block)) != Some(&false) {
-                    return Err(Diagnostic::at(
-                        ViolationKind::MissingInput,
-                        dev,
-                        idx,
-                        format!("bwd {c:?} without dO({:?})", cb.q_block),
-                    ));
-                }
-                st.dq[d].insert(cb.q_block);
-                st.dkv[d].insert(cb.kv_block);
-            }
-            Ok(true)
-        }
-        Instr::Reduce { items, .. } => {
-            for item in items {
-                let tb = item.target;
-                let expect_kind = if backward {
-                    matches!(item.kind, PayloadKind::PartialDq | PayloadKind::PartialDkv)
-                } else {
-                    item.kind == PayloadKind::PartialO
-                };
-                if !expect_kind {
-                    return Err(Diagnostic::at(
-                        ViolationKind::WrongPhase,
-                        dev,
-                        idx,
-                        format!("reduce of {:?} in the wrong phase", item.kind),
-                    ));
-                }
-                for &src in &item.sources {
-                    let p = match item.kind {
-                        PayloadKind::PartialO => Payload::PartialO(tb, src),
-                        PayloadKind::PartialDq => Payload::PartialDq(tb, src),
-                        PayloadKind::PartialDkv => Payload::PartialDkv(tb, src),
-                        _ => unreachable!("checked above"),
-                    };
-                    if st.avail[d].get(&p) != Some(&false) {
-                        return Err(Diagnostic::at(
-                            ViolationKind::MissingPartial,
-                            dev,
-                            idx,
-                            format!("reduces {tb:?} without partial from {src}"),
-                        ));
-                    }
-                }
-            }
-            Ok(true)
-        }
-        Instr::Copy { .. } => Ok(true),
-    }
+    StreamMachine::new(layout, placement, phase, backward, ctx).run(&mut ())
 }
 
 /// Structural verification for streams with no logical placement (e.g. a
@@ -717,29 +265,30 @@ fn step(
 /// # Errors
 ///
 /// Returns the first [`Diagnostic`] encountered.
-// The round-robin walk indexes `ip` and `phase.devices` in lockstep.
-#[allow(clippy::needless_range_loop)]
 pub fn verify_structure(phase: &PhasePlan) -> VerifyResult {
-    let n = phase.devices.len();
+    let depositor = |tr: &Transfer| {
+        if tr.payload.kind().is_input() {
+            tr.to
+        } else {
+            tr.from
+        }
+    };
     // Which devices launch each op (any position, any stream).
     let mut launchers: Vec<HashSet<u32>> = vec![HashSet::new(); phase.comms.len()];
     for stream in &phase.devices {
         for (idx, ins) in stream.instrs.iter().enumerate() {
-            match ins {
-                Instr::CommLaunch(cid) | Instr::CommWait(cid) => {
-                    if cid.0 as usize >= phase.comms.len() {
-                        return Err(Diagnostic::at(
-                            ViolationKind::CommIdOutOfRange,
-                            stream.device,
-                            idx,
-                            format!("comm id {} outside op table", cid.0),
-                        ));
-                    }
-                    if matches!(ins, Instr::CommLaunch(_)) {
-                        launchers[cid.0 as usize].insert(stream.device);
-                    }
+            if let Instr::CommLaunch(cid) | Instr::CommWait(cid) = ins {
+                if cid.0 as usize >= phase.comms.len() {
+                    return Err(Diagnostic::at(
+                        ViolationKind::CommIdOutOfRange,
+                        stream.device,
+                        idx,
+                        format!("comm id {} outside op table", cid.0),
+                    ));
                 }
-                _ => {}
+                if matches!(ins, Instr::CommLaunch(_)) {
+                    launchers[cid.0 as usize].insert(stream.device);
+                }
             }
         }
     }
@@ -751,17 +300,14 @@ pub fn verify_structure(phase: &PhasePlan) -> VerifyResult {
             let Instr::CommWait(cid) = ins else { continue };
             let op = &phase.comms[cid.0 as usize];
             for tr in op.transfers.iter().filter(|t| t.to == stream.device) {
-                let depositor = match tr.payload.kind() {
-                    PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO => tr.to,
-                    _ => tr.from,
-                };
-                if !launchers[cid.0 as usize].contains(&depositor) {
+                let from = depositor(tr);
+                if !launchers[cid.0 as usize].contains(&from) {
                     return Err(Diagnostic::at(
                         ViolationKind::WaitWithoutLaunch,
                         stream.device,
                         idx,
                         format!(
-                            "waits on op {} whose {:?} is never launched by device {depositor}",
+                            "waits on op {} whose {:?} is never launched by device {from}",
                             cid.0, tr.payload
                         ),
                     ));
@@ -771,68 +317,29 @@ pub fn verify_structure(phase: &PhasePlan) -> VerifyResult {
     }
     // Round-robin progress with structural deposits.
     let mut mailbox: HashSet<(u32, Payload)> = HashSet::new();
-    let mut ip = vec![0usize; n];
-    loop {
-        let mut progressed = false;
-        let mut all_done = true;
-        for d in 0..n {
-            let dev = phase.devices[d].device;
-            loop {
-                let idx = ip[d];
-                let Some(ins) = phase.devices[d].instrs.get(idx) else {
-                    break;
-                };
-                all_done = false;
-                let ok = match ins {
-                    Instr::CommLaunch(cid) => {
-                        let op = &phase.comms[cid.0 as usize];
-                        for tr in &op.transfers {
-                            let depositor = match tr.payload.kind() {
-                                PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO => tr.to,
-                                _ => tr.from,
-                            };
-                            if depositor == dev {
-                                mailbox.insert((cid.0, tr.payload));
-                            }
-                        }
-                        true
-                    }
-                    Instr::CommWait(cid) => phase.comms[cid.0 as usize]
-                        .transfers
-                        .iter()
-                        .filter(|t| t.to == dev)
-                        .all(|t| mailbox.contains(&(cid.0, t.payload))),
-                    _ => true,
-                };
-                if ok {
-                    ip[d] += 1;
-                    progressed = true;
-                } else {
-                    break;
-                }
+    drive(phase, |d, _, ins| {
+        let dev = phase.devices[d].device;
+        Ok(match ins {
+            Instr::CommLaunch(cid) => {
+                let op = &phase.comms[cid.0 as usize];
+                let deposits = op.transfers.iter().filter(|t| depositor(t) == dev);
+                mailbox.extend(deposits.map(|t| (cid.0, t.payload)));
+                true
             }
-        }
-        if all_done {
-            return Ok(());
-        }
-        if !progressed {
-            let d = (0..n)
-                .find(|&d| ip[d] < phase.devices[d].instrs.len())
-                .expect("some device is blocked");
-            return Err(Diagnostic::at(
-                ViolationKind::Deadlock,
-                phase.devices[d].device,
-                ip[d],
-                "no device can make progress (missing launch or circular wait)",
-            ));
-        }
-    }
+            Instr::CommWait(cid) => phase.comms[cid.0 as usize]
+                .transfers
+                .iter()
+                .filter(|t| t.to == dev)
+                .all(|t| mailbox.contains(&(cid.0, t.payload))),
+            _ => true,
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{CommId, CommOp, Transfer};
+    use crate::plan::{CommId, CommOp, PayloadKind, Transfer};
     use crate::schedule::{build_plan, ScheduleConfig};
     use dcp_blocks::BlockConfig;
     use dcp_mask::MaskSpec;
@@ -1150,6 +657,31 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn reduce_with_nothing_to_merge_is_missing_partial() {
+        let (l, p, mut plan) = small_case();
+        // Device 0 reduces a block it neither computed nor receives
+        // partials for: the item has no sources and no local accumulator.
+        let target = (0..l.token_blocks.len() as u32)
+            .map(TokenBlockId)
+            .find(|&tb| p.token_dev(tb) == 1)
+            .unwrap();
+        let item = crate::plan::ReduceItem {
+            target,
+            sources: vec![],
+            kind: PayloadKind::PartialO,
+        };
+        let reduce = Instr::Reduce {
+            items: vec![item],
+            bytes: 0,
+        };
+        plan.fwd.devices[0].instrs.push(reduce);
+        let err = verify_plan(&l, &p, &plan).unwrap_err();
+        assert_eq!(err.kind, ViolationKind::MissingPartial);
+        assert_eq!(err.device, Some(0));
+        assert_eq!(err.instr, Some(plan.fwd.devices[0].instrs.len() - 1));
     }
 
     #[test]

@@ -12,10 +12,12 @@
 //!    mutations of a legal stream (wait-before-launch, out-of-range comm
 //!    id, duplicated compute item, self-transfer) must each produce a
 //!    [`dcp::sched::Diagnostic`] that names the offending instruction
-//!    index, never a pass and never a panic.
+//!    index, never a pass and never a panic — and the executor, which runs
+//!    the same stream machine, must reject each mutant with the same
+//!    violation kind.
 
 use dcp::blocks::{BatchLayout, BlockConfig};
-use dcp::exec::plans_equivalent;
+use dcp::exec::{execute_forward, plans_equivalent, BatchData};
 use dcp::mask::MaskSpec;
 use dcp::sched::{
     build_plan, verify_plan, CommId, ExecutionPlan, Instr, PassConfig, PassManager, Payload,
@@ -259,6 +261,16 @@ proptest! {
                     | ViolationKind::Deadlock
             ),
             "unexpected diagnostic kind for mutation {which}: {diag}"
+        );
+        // Every mutant touches the forward phase; the executor runs the same
+        // stream machine, so it must reject it for the same reason.
+        let data = BatchData::random(&layout, seed);
+        let err = execute_forward(&layout, &placement, &bad, &data)
+            .expect_err("executor ran a seeded-illegal stream");
+        let tag = format!("[{}]", diag.kind);
+        prop_assert!(
+            err.to_string().contains(&tag),
+            "executor error {err} does not carry the verifier's {tag}"
         );
     }
 }
