@@ -839,7 +839,7 @@ fn main() {
             let bitwise = warm.placement == cold.placement && warm.plan == cold.plan;
             assert!(bitwise, "identical re-plan must reproduce the cold plan");
             inc_bitwise &= bitwise;
-            dcp_sched::schedule::validate_plan(&warm.layout, &warm.placement, &warm.plan)
+            dcp_sched::verify_plan(&warm.layout, &warm.placement, &warm.plan)
                 .expect("warm plan must pass the stream verifier");
             let oracle = plans_equivalent(
                 &cold.layout,
@@ -877,7 +877,7 @@ fn main() {
                 .expect("incremental drifted plan");
             let drift_s = t0.elapsed().as_secs_f64();
             drift_near_hits += u64::from(drift.stats.near_hit);
-            dcp_sched::schedule::validate_plan(&drift.layout, &drift.placement, &drift.plan)
+            dcp_sched::verify_plan(&drift.layout, &drift.placement, &drift.plan)
                 .expect("drifted plan must pass the stream verifier");
             drift_walls.push(drift_s);
 

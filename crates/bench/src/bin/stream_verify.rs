@@ -1,8 +1,8 @@
 //! CI stream-legality sweep: runs the `dcp_sched::verify` checker over
 //! every plan the benchmark workload produces — all fallback tiers, the
-//! pass-optimized rewrites and every recovery-patch rendering — and over a
-//! battery of seeded illegal mutations that the verifier must *reject* with
-//! a typed diagnostic.
+//! pass-optimized rewrites and every forward and backward recovery-patch
+//! rendering — and over a battery of seeded illegal mutations that the
+//! verifier must *reject* with a typed diagnostic.
 //!
 //! Writes `VERIFY_streams.json` (uploaded as a CI artifact) and exits
 //! non-zero on any illegal stream or any accepted mutation, so a scheduler
@@ -20,7 +20,7 @@ use dcp_data::{pack_batches, sample_lengths, DatasetKind, MaskSetting};
 use dcp_mask::MaskSpec;
 use dcp_sched::{
     verify_phase, verify_plan, verify_structure, CommId, Diagnostic, ExecutionPlan, Instr,
-    PassConfig, PassManager, Payload, PayloadKind, Placement, ViolationKind,
+    PassConfig, PassManager, Payload, PayloadKind, PhasePlan, Placement, ViolationKind,
 };
 use dcp_types::{AttnSpec, ClusterSpec, PlanTier};
 use serde_json::json;
@@ -233,6 +233,22 @@ const MUTATIONS: &[Mutation] = &[
     ),
 ];
 
+/// The device with the most fused attention divisions in `phase` (lowest
+/// rank on a tie) and that count.
+fn busiest(phase: &PhasePlan) -> (u32, u32) {
+    (phase.devices.iter().enumerate())
+        .map(|(i, s)| {
+            let divs = s
+                .instrs
+                .iter()
+                .filter(|ins| matches!(ins, Instr::Attn { .. } | Instr::AttnBwd { .. }))
+                .count() as u32;
+            (i as u32, divs)
+        })
+        .max_by_key(|&(i, divs)| (divs, std::cmp::Reverse(i)))
+        .expect("nonempty plan")
+}
+
 fn diag_json(d: &Diagnostic) -> serde_json::Value {
     serde_json::to_value(d).expect("diagnostic serializes")
 }
@@ -329,6 +345,7 @@ fn main() {
     // rules, the re-planned backward phase and the host-folded timing plan.
     let rp = RecoveryPlanner::new(RecoveryConfig::default());
     let mut recovery_rows = Vec::new();
+    let mut recovery_bwd_rows = Vec::new();
     {
         let planner = Planner::new(
             cluster.clone(),
@@ -347,22 +364,7 @@ fn main() {
                 .collect();
         for (bi, batch) in batches.iter().enumerate() {
             let out = planner.plan(batch).expect("plan");
-            let (dev, nd) = out
-                .plan
-                .fwd
-                .devices
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let divs = s
-                        .instrs
-                        .iter()
-                        .filter(|ins| matches!(ins, Instr::Attn { .. }))
-                        .count() as u32;
-                    (i as u32, divs)
-                })
-                .max_by_key(|&(i, divs)| (divs, std::cmp::Reverse(i)))
-                .expect("nonempty plan");
+            let (dev, nd) = busiest(&out.plan.fwd);
             if nd < 2 {
                 continue;
             }
@@ -414,6 +416,44 @@ fn main() {
                 "bwd_ok": bwd.is_none(),
                 "timing_ok": timing.is_none(),
                 "optimized_fwd_ok": opt_fwd.is_none(),
+                "diagnostics": diagnostics,
+            }));
+
+            // A mid-backward failure of the busiest backward stream: the
+            // salvaged backward phase under its recovery context and the
+            // host-folded timing phase structurally.
+            let (dev, ndb) = busiest(&out.plan.bwd);
+            let ev = FailureEvent {
+                device: dev,
+                divisions_done: ndb / 2,
+            };
+            let patch = match rp.plan_backward_recovery(&out, &ev) {
+                Ok(p) => p,
+                Err(e) => {
+                    failures.push(format!(
+                        "recovery-bwd/batch{bi}: patch planning failed: {e}"
+                    ));
+                    continue;
+                }
+            };
+            let ctx = patch.verify_ctx();
+            let bwd = verify_phase(&out.layout, &patch.placement, &patch.bwd, true, &ctx).err();
+            let timing = verify_structure(&patch.timing).err();
+            for (what, err) in [("bwd", &bwd), ("timing", &timing)] {
+                if let Some(d) = err {
+                    failures.push(format!("recovery-bwd/batch{bi} ({what}): {d}"));
+                }
+            }
+            let diagnostics: Vec<_> = [&bwd, &timing]
+                .iter()
+                .filter_map(|e| e.as_ref().map(diag_json))
+                .collect();
+            recovery_bwd_rows.push(json!({
+                "batch": bi,
+                "failed_device": dev,
+                "divisions_done": ev.divisions_done,
+                "bwd_ok": bwd.is_none(),
+                "timing_ok": timing.is_none(),
                 "diagnostics": diagnostics,
             }));
         }
@@ -480,6 +520,7 @@ fn main() {
         },
         "streams": stream_rows,
         "recovery": recovery_rows,
+        "recovery_bwd": recovery_bwd_rows,
         "mutations": mutation_rows,
         "failures": failures,
         "ok": ok,
@@ -490,9 +531,10 @@ fn main() {
     )
     .unwrap_or_else(|e| panic!("cannot write VERIFY_streams.json: {e}"));
     println!(
-        "stream_verify: {} streams, {} recovery patches, {} mutations — {}",
+        "stream_verify: {} streams, {} + {} fwd + bwd recovery patches, {} mutations — {}",
         report["streams"].as_array().unwrap().len(),
         report["recovery"].as_array().unwrap().len(),
+        report["recovery_bwd"].as_array().unwrap().len(),
         report["mutations"].as_array().unwrap().len(),
         if ok { "OK" } else { "FAIL" }
     );

@@ -20,10 +20,6 @@ use dcp_sim::{simulate_plan, FaultSpec};
 use dcp_types::{AttnSpec, ClusterSpec, DcpError, DcpResult, PlanTier};
 use serde::{Deserialize, Serialize};
 
-/// Floor on the per-device network weight derived from degraded links, so a
-/// near-dead link never drives a placement target to zero.
-const MIN_NET_WEIGHT: f64 = 0.05;
-
 /// Planner hyper-parameters (the paper's defaults from Sec. 7.1).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PlannerConfig {
@@ -1188,36 +1184,11 @@ impl Planner {
         }
     }
 
-    /// Per-device capacity weights derived from `cfg.fault_spec`:
-    /// `[compute, bytes]` — compute ∝ 1/slowdown, bytes ∝ the rate factor of
-    /// the device's worst incident link (flapping links contribute their
-    /// duty-weighted mean). `None` when no spec is set or it changes nothing,
-    /// so the healthy path is byte-identical to a fault-blind planner.
+    /// Per-device capacity weights derived from `cfg.fault_spec` (see
+    /// [`FaultSpec::capacity_weights`]); `None` when no spec is set or it
+    /// changes nothing.
     fn fault_weights(&self, n: u32) -> Option<Vec<[f64; 2]>> {
-        let spec = self.cfg.fault_spec.as_ref()?;
-        let n = n as usize;
-        let slow = spec.slowdowns(n);
-        let mut net = vec![1.0f64; n];
-        for (src, dst, factor) in spec.link_factors() {
-            for d in [src, dst] {
-                if (d as usize) < n {
-                    net[d as usize] = net[d as usize].min(factor.max(MIN_NET_WEIGHT));
-                }
-            }
-        }
-        for (src, dst, _period, duty, factor) in spec.flapping_links() {
-            let mean = duty * factor + (1.0 - duty);
-            for d in [src, dst] {
-                if (d as usize) < n {
-                    net[d as usize] = net[d as usize].min(mean.max(MIN_NET_WEIGHT));
-                }
-            }
-        }
-        let w: Vec<[f64; 2]> = (0..n).map(|d| [1.0 / slow[d].max(1.0), net[d]]).collect();
-        if w.iter().all(|x| x[0] >= 1.0 - 1e-12 && x[1] >= 1.0 - 1e-12) {
-            return None;
-        }
-        Some(w)
+        self.cfg.fault_spec.as_ref()?.capacity_weights(n as usize)
     }
 
     /// Splits `totals` across parts proportionally to `weights` (per
@@ -1474,7 +1445,6 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcp_sched::schedule::validate_plan;
 
     fn planner(nodes: u32) -> Planner {
         Planner::new(
@@ -1496,7 +1466,7 @@ mod tests {
             (2048, MaskSpec::paper_lambda()),
         ];
         let a = p.plan(&seqs).unwrap();
-        validate_plan(&a.layout, &a.placement, &a.plan).unwrap();
+        verify_plan(&a.layout, &a.placement, &a.plan).unwrap();
         let b = p.plan(&seqs).unwrap();
         assert_eq!(a.placement, b.placement);
         assert_eq!(a.plan, b.plan);
@@ -1607,7 +1577,7 @@ mod tests {
             ]
         );
         let aware_out = aware.plan(&seqs).unwrap();
-        validate_plan(&aware_out.layout, &aware_out.placement, &aware_out.plan).unwrap();
+        verify_plan(&aware_out.layout, &aware_out.placement, &aware_out.plan).unwrap();
         let blind_out = mk(ClusterSpec::p4de(4)).plan(&seqs).unwrap();
         let cross_leaf = |out: &PlanOutput| out.plan.fwd.comm_bytes_by_tier(&spine)[2];
         assert!(
@@ -1717,7 +1687,7 @@ mod tests {
             );
             let out = p.plan(&seqs).unwrap();
             assert_eq!(out.tier, tier);
-            validate_plan(&out.layout, &out.placement, &out.plan).unwrap();
+            verify_plan(&out.layout, &out.placement, &out.plan).unwrap();
             assert_eq!(out.num_devices(), 8);
         }
     }
@@ -1744,7 +1714,7 @@ mod tests {
         };
         let out = mk(true).plan(&seqs).unwrap();
         assert_ne!(out.tier, PlanTier::Partitioned, "ε = 0 must be infeasible");
-        validate_plan(&out.layout, &out.placement, &out.plan).unwrap();
+        verify_plan(&out.layout, &out.placement, &out.plan).unwrap();
         let reason = out.fallback_reason.expect("reason recorded");
         assert!(reason.contains("partitioned"), "{reason}");
         // Strict mode surfaces the infeasibility instead.
@@ -2038,7 +2008,7 @@ mod tests {
             !out.stats.cache_hit,
             "recovery clears the cache, so this is a miss"
         );
-        validate_plan(&out.layout, &out.placement, &out.plan).unwrap();
+        verify_plan(&out.layout, &out.placement, &out.plan).unwrap();
         // And caching works again after recovery.
         assert!(p.plan(&seqs).unwrap().stats.cache_hit);
     }
@@ -2147,7 +2117,7 @@ mod tests {
         p.plan(&a).unwrap();
         let out = p.plan(&b).unwrap();
         assert_eq!(p.near_cache_stats().0, 1, "seed lookup must hit");
-        validate_plan(&out.layout, &out.placement, &out.plan).unwrap();
+        verify_plan(&out.layout, &out.placement, &out.plan).unwrap();
     }
 
     #[test]

@@ -27,12 +27,18 @@
 //!   device's stream (truncated at the frontier plus salvage launches) and
 //!   the shard streams are new.
 //!
-//! The patch carries two phase plans: `fwd`, a *functional* plan over
+//! Forward and backward salvage share one renderer. It takes the dying
+//! streams cut at their frontiers and each stream's residual groups with
+//! their shard assignment, and emits the patch's *functional* phase over
 //! `D + S` logical devices (shard `j` is logical device `D + j`) for the
-//! numerical executor, and `timing`, the same work folded back onto the `D`
-//! physical ranks (shard `j` on survivor `shard_hosts[j]`) for the cluster
-//! simulator — the recovered-vs-clean makespan delta is the recovery cost
-//! charged into the iteration breakdown.
+//! numerical executor: retargeted partials, salvage and input re-fetch
+//! ops, truncated dying streams and shard streams. Its host fold, `timing`,
+//! is the same work spliced back onto the `D` physical ranks (shard `j` on
+//! survivor `shard_hosts[j]`) for the cluster simulator — the
+//! recovered-vs-clean makespan delta is the recovery cost charged into the
+//! iteration breakdown. Direction is data, not a code path: the partial
+//! kinds (`O`, or `dQ` and `dKV`), the re-fetched inputs (plus `dO`
+//! backward) and the attention instruction.
 //!
 //! Recovery is **re-entrant**: a [`RecoveryPatch`] is itself a recoverable
 //! plan. If a survivor dies while a patch is in flight —
@@ -64,9 +70,10 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
 
-use dcp_blocks::{BatchLayout, CompBlockId, TokenBlockId};
+use dcp_blocks::{BatchLayout, CompBlock, CompBlockId, TokenBlockId};
 use dcp_hypergraph::{partition, HypergraphBuilder, PartitionConfig, VertexWeight};
 use dcp_obs::{Event, ObsHandle, Source as ObsSource};
+use dcp_sched::schedule::reduce_bytes;
 use dcp_sched::{
     build_plan, verify_phase, verify_plan, verify_structure, BufferStats, CommId, CommOp,
     DeviceStream, ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan, Placement, ReduceItem,
@@ -78,9 +85,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::planner::PlanOutput;
 
-/// Floor for fault-adjusted capacity weights, mirroring the planner's
-/// `MIN_NET_WEIGHT`: even a badly degraded survivor keeps a sliver of
-/// capacity so targets stay positive.
+/// Floor for the fault-adjusted compute weight, matching the network
+/// floor of [`FaultSpec::capacity_weights`]: even a badly degraded survivor
+/// keeps a sliver of capacity so targets stay positive.
 const MIN_CAP_WEIGHT: f64 = 0.05;
 
 /// A device loss at a division boundary of the forward phase.
@@ -174,9 +181,10 @@ pub struct RecoveryPatch {
     /// Comm ids in `fwd` carrying raw salvaged accumulators (cumulative).
     pub salvage_comms: HashSet<u32>,
     /// Shard (logical device id) that deposits each outstanding partial
-    /// under the original comm ids, keyed by `(token block, original
-    /// producer)` — two dead streams may owe partials for the same block.
-    pub producer_of: HashMap<(TokenBlockId, u32), u32>,
+    /// under the original comm ids, keyed by that partial (its producer
+    /// field names the dead stream) — two dead streams may owe partials for
+    /// the same block.
+    pub producer_of: HashMap<Payload, u32>,
     /// Token blocks whose ownership moved off a dead stream (cumulative).
     pub reowned: HashSet<TokenBlockId>,
     /// The patched forward phase folded onto the `D` physical ranks, for
@@ -199,8 +207,6 @@ impl RecoveryPatch {
             failed: self.failed_streams.clone(),
             salvage_comms: self.salvage_comms.clone(),
             producer_of: self.producer_of.clone(),
-            producer_of_dq: HashMap::new(),
-            producer_of_dkv: HashMap::new(),
             reowned: self.reowned.clone(),
         }
     }
@@ -227,11 +233,9 @@ pub struct BwdRecoveryPatch {
     pub bwd: PhasePlan,
     /// Comm ids carrying raw salvaged `dQ`/`dKV` running sums.
     pub salvage_comms: HashSet<u32>,
-    /// Shard that deposits each outstanding `dQ` partial, keyed by
-    /// `(token block, original producer)`.
-    pub producer_of_dq: HashMap<(TokenBlockId, u32), u32>,
-    /// Shard that deposits each outstanding `dKV` partial.
-    pub producer_of_dkv: HashMap<(TokenBlockId, u32), u32>,
+    /// Shard that deposits each outstanding `dQ`/`dKV` partial, keyed by
+    /// that partial.
+    pub producer_of: HashMap<Payload, u32>,
     /// Token blocks whose gradient ownership moved to a shard.
     pub reowned: HashSet<TokenBlockId>,
     /// The patched backward phase folded onto the `D` physical ranks.
@@ -248,24 +252,82 @@ impl BwdRecoveryPatch {
         VerifyCtx {
             failed: HashSet::from([self.failed]),
             salvage_comms: self.salvage_comms.clone(),
-            producer_of: HashMap::new(),
-            producer_of_dq: self.producer_of_dq.clone(),
-            producer_of_dkv: self.producer_of_dkv.clone(),
+            producer_of: self.producer_of.clone(),
             reowned: self.reowned.clone(),
         }
     }
 }
 
-/// One residual unit: a Q block plus the failed device's un-executed
-/// computation blocks targeting it, moved to a shard as a whole so the
-/// salvaged accumulator, the residual folds and the ownership duties of the
-/// block stay colocated.
-#[derive(Debug)]
-struct Unit {
-    tb: TokenBlockId,
+/// What the patch renderer needs to know about a phase's direction.
+struct Direction {
+    /// Whether residual work runs as `AttnBwd` rather than `Attn`.
+    backward: bool,
+    /// Accumulators an executed computation block leaves live, one per
+    /// partial kind.
+    partials: &'static [PayloadKind],
+    /// Inputs a residual computation block re-fetches.
+    inputs: &'static [PayloadKind],
+}
+
+const FORWARD: Direction = Direction {
+    backward: false,
+    partials: &[PayloadKind::PartialO],
+    inputs: &[PayloadKind::Q, PayloadKind::Kv],
+};
+
+const BACKWARD: Direction = Direction {
+    backward: true,
+    partials: &[PayloadKind::PartialDq, PayloadKind::PartialDkv],
+    inputs: &[PayloadKind::Q, PayloadKind::Kv, PayloadKind::DO],
+};
+
+impl Direction {
+    /// The fused attention instruction of this direction.
+    fn attn(&self, items: Vec<CompBlockId>, flops: u64) -> Instr {
+        if self.backward {
+            Instr::AttnBwd { items, flops }
+        } else {
+            Instr::Attn { items, flops }
+        }
+    }
+}
+
+/// The token block of `cb` a payload of `kind` concerns: the KV block for
+/// KV and dKV, the Q block otherwise.
+fn block_of(kind: PayloadKind, cb: &CompBlock) -> TokenBlockId {
+    match kind {
+        PayloadKind::Kv | PayloadKind::PartialDkv => cb.kv_block,
+        _ => cb.q_block,
+    }
+}
+
+/// Residual work moved to one shard as a whole, so the salvaged
+/// accumulators, the residual folds into them and the ownership duties of
+/// their blocks stay colocated: a forward per-Q-block unit, or a backward
+/// component of the dQ/dKV contribution graph.
+#[derive(Debug, Default)]
+struct Group {
+    /// Deterministic tie-break for the greedy water-fill.
+    key: u32,
+    /// Accumulators the group may salvage, in salvage order.
+    accs: Vec<(PayloadKind, TokenBlockId)>,
+    /// Residual computation blocks, in stream order.
     items: Vec<CompBlockId>,
+    /// Token blocks whose ownership moves with the group.
+    owned: Vec<TokenBlockId>,
+    /// Attention flops of `items`.
     flops: u64,
-    owned: bool,
+}
+
+impl Group {
+    /// An empty group for the accumulator `(kind, tb)`.
+    fn new(kind: PayloadKind, tb: TokenBlockId) -> Self {
+        Group {
+            key: tb.0,
+            accs: vec![(kind, tb)],
+            ..Default::default()
+        }
+    }
 }
 
 /// Builds [`RecoveryPatch`]es for failures against live [`PlanOutput`]s.
@@ -276,7 +338,8 @@ pub struct RecoveryPlanner {
     fault_spec: Option<FaultSpec>,
 }
 
-/// Per-dying-stream state derived from the execution frontier.
+/// One dying stream cut at its execution frontier, plus (filled in by the
+/// caller) its residual groups and where they were re-sharded.
 struct DyingView {
     /// The dying logical stream id.
     l: u32,
@@ -284,22 +347,481 @@ struct DyingView {
     k: u32,
     /// Instruction index of the frontier cut.
     cut: usize,
-    /// Token blocks with a live output accumulator at the cut: Q blocks of
-    /// executed items plus blocks installed by salvage waits in the prefix.
-    executed_acc: HashSet<TokenBlockId>,
+    /// Total attention flops of the stream.
+    flops: u64,
+    /// Accumulators live at the cut: the partials of executed blocks plus
+    /// any installed by salvage waits in the prefix.
+    executed: HashSet<(PayloadKind, TokenBlockId)>,
     /// Residual (un-executed) computation blocks, in stream order.
     residual: Vec<CompBlockId>,
     /// Comm ids waited *within* the kept prefix (these waits replay, so
     /// their incoming transfers must not be retargeted).
     kept_waits: HashSet<u32>,
-    /// Comm ids waited in the dropped suffix, in stream order.
+    /// Non-salvage comm ids waited in the dropped suffix, in stream order.
     tail_waits: Vec<u32>,
     /// Every reduce item of the dying stream, flattened in stream order.
     reduce_items: Vec<ReduceItem>,
     /// Suffix comm launches carrying partials this stream still owed.
     residual_out_cids: Vec<u32>,
-    /// `(token block, original producer)` of each owed partial.
-    outstanding: Vec<(TokenBlockId, u32)>,
+    /// Each owed partial, as its original payload.
+    outstanding: Vec<Payload>,
+    /// Residual groups.
+    groups: Vec<Group>,
+    /// First logical id of this stream's block of shards (one per
+    /// survivor), or `None` when it has no groups to move.
+    shards: Option<u32>,
+    /// Shard index (within the block) of each group.
+    part: Vec<u32>,
+}
+
+impl DyingView {
+    /// Cuts stream `l` of `phase` after its `k`-th fused division. `ctx` is
+    /// the recovery context the phase already carries (prior salvage ops
+    /// and deposits); `device` names the physical rank in errors.
+    fn cut(
+        layout: &BatchLayout,
+        phase: &PhasePlan,
+        dir: &Direction,
+        ctx: &VerifyCtx,
+        l: u32,
+        k: u32,
+        device: u32,
+    ) -> DcpResult<Self> {
+        let instrs = &phase.devices[l as usize].instrs;
+        let (cut, executed_items, residual, flops) = split_frontier(instrs, k, device)?;
+        let mut executed: HashSet<(PayloadKind, TokenBlockId)> = HashSet::new();
+        for &c in &executed_items {
+            let cb = &layout.comp_blocks[c.0 as usize];
+            executed.extend(dir.partials.iter().map(|&kind| (kind, block_of(kind, cb))));
+        }
+        let mut kept_waits: HashSet<u32> = HashSet::new();
+        for ins in &instrs[..cut] {
+            if let Instr::CommWait(cid) = ins {
+                kept_waits.insert(cid.0);
+                if ctx.salvage_comms.contains(&cid.0) {
+                    // A replayed salvage wait re-installs an inherited
+                    // accumulator — live state this stream can re-ship.
+                    for tr in &phase.comms[cid.0 as usize].transfers {
+                        if tr.to == l {
+                            executed.insert((tr.payload.kind(), tr.payload.token_block()));
+                        }
+                    }
+                }
+            }
+        }
+        let tail_waits: Vec<u32> = instrs[cut..]
+            .iter()
+            .filter_map(|ins| match ins {
+                Instr::CommWait(cid) if !ctx.salvage_comms.contains(&cid.0) => Some(cid.0),
+                _ => None,
+            })
+            .collect();
+        let reduce_items: Vec<ReduceItem> = instrs
+            .iter()
+            .flat_map(|ins| match ins {
+                Instr::Reduce { items, .. } => items.clone(),
+                _ => Vec::new(),
+            })
+            .collect();
+        // Outstanding out-comms: partials launched after the frontier that
+        // this stream produced, or deposits it inherited from a prior patch.
+        let mut residual_out_cids: Vec<u32> = Vec::new();
+        let mut outstanding: Vec<Payload> = Vec::new();
+        for ins in &instrs[cut..] {
+            if let Instr::CommLaunch(cid) = ins {
+                let before = outstanding.len();
+                outstanding.extend(
+                    phase.comms[cid.0 as usize]
+                        .transfers
+                        .iter()
+                        .map(|tr| tr.payload)
+                        .filter(|p| p.producer() == Some(l) || ctx.producer_of.get(p) == Some(&l)),
+                );
+                if outstanding.len() > before {
+                    residual_out_cids.push(cid.0);
+                }
+            }
+        }
+        Ok(DyingView {
+            l,
+            k,
+            cut,
+            flops,
+            executed,
+            residual,
+            kept_waits,
+            tail_waits,
+            reduce_items,
+            residual_out_cids,
+            outstanding,
+            groups: Vec::new(),
+            shards: None,
+            part: Vec::new(),
+        })
+    }
+
+    /// The groups re-sharded onto logical shard `dev` of this stream.
+    fn groups_on(&self, dev: u32) -> impl Iterator<Item = &Group> {
+        let j = dev - self.shards.expect("stream has shards");
+        (self.groups.iter().zip(&self.part)).filter_map(move |(g, &p)| (p == j).then_some(g))
+    }
+
+    /// Attention flops of the residual blocks.
+    fn redone_flops(&self, layout: &BatchLayout) -> u64 {
+        let flops = |c: &CompBlockId| layout.comp_blocks[c.0 as usize].flops;
+        self.residual.iter().map(flops).sum()
+    }
+}
+
+/// The renderings of one recovery patch (see [`Renderer::render`]).
+struct Rendering {
+    /// Placement over the `D + S` logical devices of `phase`.
+    placement: Placement,
+    /// The functional patched phase over `D + S` logical devices.
+    phase: PhasePlan,
+    /// `phase` folded onto the `D` physical ranks.
+    timing: PhasePlan,
+    /// The patch's cumulative recovery context.
+    ctx: VerifyCtx,
+    /// Bytes of raw accumulators evacuated from the dying streams.
+    salvage_bytes: u64,
+    /// Bytes of inputs the shards re-fetch.
+    refetch_bytes: u64,
+}
+
+/// The one renderer of recovery patches: forward and backward salvage both
+/// hand it their dying streams and group → shard assignments.
+struct Renderer<'a> {
+    layout: &'a BatchLayout,
+    dir: &'a Direction,
+    /// The clean plan's placement: residual inputs are re-fetched from
+    /// their original owners (dead devices keep serving resident blocks
+    /// while draining, which the verifier admits via the re-owned set).
+    origin: &'a Placement,
+    /// Placement of the phase being patched.
+    base_placement: &'a Placement,
+    /// The phase being patched.
+    base: &'a PhasePlan,
+    /// Dying streams with their groups and shard assignment.
+    views: &'a [DyingView],
+    /// Physical survivor hosting each shard, cumulative.
+    shard_hosts: &'a [u32],
+    /// Every physical rank lost so far.
+    failed_devices: &'a [u32],
+}
+
+impl Renderer<'_> {
+    /// Renders the patch. `ctx` is the base phase's recovery context with
+    /// `failed` already extended by the dying streams; the returned context
+    /// adds this patch's salvage ops, deposits and re-owned blocks.
+    fn render(&self, mut ctx: VerifyCtx) -> DcpResult<Rendering> {
+        let (layout, base, views) = (self.layout, self.base, self.views);
+        let d_total = self.origin.num_devices;
+        let s_count = d_total - self.failed_devices.len() as u32;
+
+        // Patched placement over the grown logical device set.
+        let mut token_to_dev = self.base_placement.token_to_dev.clone();
+        let mut comp_to_dev = self.base_placement.comp_to_dev.clone();
+        let mut acc_dev: HashMap<(u32, PayloadKind, TokenBlockId), u32> = HashMap::new();
+        for view in views {
+            let Some(first) = view.shards else { continue };
+            for (g, &j) in view.groups.iter().zip(&view.part) {
+                let dev = first + j;
+                for &(kind, tb) in &g.accs {
+                    acc_dev.insert((view.l, kind, tb), dev);
+                }
+                for &tb in &g.owned {
+                    token_to_dev[tb.0 as usize] = dev;
+                    ctx.reowned.insert(tb);
+                }
+                for &c in &g.items {
+                    comp_to_dev[c.0 as usize] = dev;
+                }
+            }
+        }
+        let placement = Placement {
+            num_devices: d_total + self.shard_hosts.len() as u32,
+            token_to_dev,
+            comp_to_dev,
+        };
+
+        // Partials bound for a dying stream move with the block — unless
+        // the receiving wait sits in the kept prefix, which replays it.
+        // Ordinary partials target the block's owner, so they follow
+        // ownership; a prior patch's salvage evacuation follows the group
+        // that was going to consume it.
+        let mut comms: Vec<CommOp> = base.comms.clone();
+        for (cid, op) in comms.iter_mut().enumerate() {
+            let cid = cid as u32;
+            for tr in &mut op.transfers {
+                let Some(view) = views.iter().find(|v| v.l == tr.to) else {
+                    continue;
+                };
+                let (kind, tb) = (tr.payload.kind(), tr.payload.token_block());
+                if kind.is_input() || view.kept_waits.contains(&cid) {
+                    continue;
+                }
+                if ctx.salvage_comms.contains(&cid) {
+                    tr.to = *acc_dev.get(&(tr.to, kind, tb)).ok_or_else(|| {
+                        DcpError::invalid_plan(format!(
+                            "inherited salvage for {tb:?} targets dying stream {} \
+                             but the block has no residual unit",
+                            tr.to
+                        ))
+                    })?;
+                } else {
+                    tr.to = placement.token_dev(tb);
+                    debug_assert!(tr.to >= d_total, "partial retarget must land on a shard");
+                }
+            }
+        }
+        // Outstanding partials now deposit from their group's shard.
+        for view in views {
+            for &p in &view.outstanding {
+                let dev = acc_dev[&(view.l, p.kind(), p.token_block())];
+                ctx.producer_of.insert(p, dev);
+            }
+        }
+        // Salvage ops: live accumulators a dying stream built (or had
+        // re-installed) before its frontier that a shard still needs —
+        // residual folds, outstanding partials, or final assembly of a
+        // re-owned block.
+        let mut salvage_bytes = 0u64;
+        let salvage_cid = push_shard_ops(&mut comms, views, s_count, |view, dev, transfers| {
+            for g in view.groups_on(dev) {
+                for &(kind, tb) in &g.accs {
+                    if !view.executed.contains(&(kind, tb)) {
+                        continue;
+                    }
+                    let bytes = kind.bytes(&layout.token_blocks[tb.0 as usize]);
+                    salvage_bytes += bytes;
+                    transfers.push(Transfer {
+                        from: view.l,
+                        to: dev,
+                        payload: Payload::partial(kind, tb, view.l).expect("partial kind"),
+                        bytes,
+                    });
+                }
+            }
+        });
+        // Prior patches' salvage ops, ascending.
+        let mut inherited: Vec<u32> = ctx.salvage_comms.iter().copied().collect();
+        inherited.sort_unstable();
+        ctx.salvage_comms
+            .extend(salvage_cid.iter().flatten().flatten().map(|c| c.0));
+        // Input re-fetch ops: inputs a shard's residual blocks read that it
+        // does not own under the patched placement.
+        let mut refetch_bytes = 0u64;
+        let fetch_cid = push_shard_ops(&mut comms, views, s_count, |view, dev, transfers| {
+            let mut seen: HashSet<Payload> = HashSet::new();
+            for g in view.groups_on(dev) {
+                for &c in &g.items {
+                    let cb = &layout.comp_blocks[c.0 as usize];
+                    for &kind in self.dir.inputs {
+                        let tb = block_of(kind, cb);
+                        let payload = Payload::input(kind, tb).expect("input kind");
+                        if placement.token_dev(tb) == dev || !seen.insert(payload) {
+                            continue;
+                        }
+                        let bytes = kind.bytes(&layout.token_blocks[tb.0 as usize]);
+                        refetch_bytes += bytes;
+                        transfers.push(Transfer {
+                            from: self.origin.token_dev(tb),
+                            to: dev,
+                            payload,
+                            bytes,
+                        });
+                    }
+                }
+            }
+        });
+
+        // Streams: truncate the dying streams, emit the shards.
+        let mut devices: Vec<DeviceStream> = base.devices.clone();
+        for (view, cids) in views.iter().zip(&salvage_cid) {
+            let orig = &base.devices[view.l as usize];
+            let mut instrs: Vec<Instr> = orig.instrs[..view.cut].to_vec();
+            instrs.extend(cids.iter().flatten().map(|&cid| Instr::CommLaunch(cid)));
+            devices[view.l as usize] = DeviceStream {
+                device: view.l,
+                instrs,
+                buffer: orig.buffer,
+            };
+        }
+        let receives =
+            |cid: u32, dev: u32| comms[cid as usize].transfers.iter().any(|t| t.to == dev);
+        for (v, view) in views.iter().enumerate() {
+            let Some(first) = view.shards else { continue };
+            for j in 0..s_count as usize {
+                let dev = first + j as u32;
+                let (salvage, fetch) = (salvage_cid[v][j], fetch_cid[v][j]);
+                let mut instrs: Vec<Instr> = Vec::new();
+                instrs.extend(fetch.map(Instr::CommLaunch));
+                // Old salvage evacuations whose receiving wait was
+                // truncated now land here; wait on them before any residual
+                // fold touches the installed accumulator.
+                instrs.extend(
+                    (inherited.iter())
+                        .filter(|&&cid| receives(cid, dev))
+                        .map(|&cid| Instr::CommWait(CommId(cid))),
+                );
+                instrs.extend(salvage.map(Instr::CommWait));
+                instrs.extend(fetch.map(Instr::CommWait));
+                let items: Vec<CompBlockId> = (view.residual.iter().copied())
+                    .filter(|&c| placement.comp_dev(c) == dev)
+                    .collect();
+                if !items.is_empty() {
+                    let flops = items
+                        .iter()
+                        .map(|&c| layout.comp_blocks[c.0 as usize].flops)
+                        .sum();
+                    instrs.push(self.dir.attn(items, flops));
+                }
+                for &cid in &view.residual_out_cids {
+                    let mine = comms[cid as usize]
+                        .transfers
+                        .iter()
+                        .any(|tr| ctx.producer_of.get(&tr.payload) == Some(&dev));
+                    if mine {
+                        instrs.push(Instr::CommLaunch(CommId(cid)));
+                    }
+                }
+                instrs.extend(
+                    (view.tail_waits.iter())
+                        .filter(|&&cid| receives(cid, dev))
+                        .map(|&cid| Instr::CommWait(CommId(cid))),
+                );
+                let ritems: Vec<ReduceItem> = (view.reduce_items.iter())
+                    .filter(|it| placement.token_dev(it.target) == dev)
+                    .cloned()
+                    .collect();
+                if !ritems.is_empty() {
+                    let bytes = reduce_bytes(layout, &ritems);
+                    instrs.push(Instr::Reduce {
+                        items: ritems,
+                        bytes,
+                    });
+                }
+                devices.push(DeviceStream {
+                    device: dev,
+                    instrs,
+                    buffer: BufferStats::default(),
+                });
+            }
+        }
+        let phase = PhasePlan { comms, devices };
+        let timing = self.fold_onto_hosts(&phase, &ctx);
+        Ok(Rendering {
+            placement,
+            phase,
+            timing,
+            ctx,
+            salvage_bytes,
+            refetch_bytes,
+        })
+    }
+
+    /// The host fold: `phase` with every shard stream spliced onto its
+    /// physical host, for the cluster simulator.
+    fn fold_onto_hosts(&self, phase: &PhasePlan, ctx: &VerifyCtx) -> PhasePlan {
+        let d_total = self.origin.num_devices;
+        let shard_hosts = self.shard_hosts;
+        let host = |x: u32| {
+            if x >= d_total {
+                shard_hosts[(x - d_total) as usize]
+            } else {
+                x
+            }
+        };
+        let comms: Vec<CommOp> = (phase.comms.iter().enumerate())
+            .map(|(cid, op)| CommOp {
+                transfers: (op.transfers.iter())
+                    .map(|tr| {
+                        // Outstanding partials are now produced by a shard,
+                        // so the flow must originate from the shard's host
+                        // for the spliced launch to start it. Salvage ops
+                        // are genuine dead→shard evacuations and keep
+                        // their source.
+                        let redeposited = !tr.payload.kind().is_input()
+                            && ctx.failed.contains(&tr.from)
+                            && !ctx.salvage_comms.contains(&(cid as u32));
+                        let from = match ctx.producer_of.get(&tr.payload) {
+                            Some(&shard) if redeposited => shard,
+                            _ => tr.from,
+                        };
+                        Transfer { from, ..*tr }
+                    })
+                    .filter(|tr| host(tr.from) != host(tr.to))
+                    .map(|tr| Transfer {
+                        from: host(tr.from),
+                        to: host(tr.to),
+                        ..tr
+                    })
+                    .collect(),
+            })
+            .collect();
+        let l_new = d_total + shard_hosts.len() as u32;
+        let devices = (0..d_total)
+            .map(|r| {
+                let hosted = |dead: bool| {
+                    (d_total..l_new)
+                        .filter(move |&l| {
+                            shard_hosts[(l - d_total) as usize] == r
+                                && ctx.failed.contains(&l) == dead
+                        })
+                        .flat_map(|l| phase.devices[l as usize].instrs.iter().cloned())
+                };
+                let mut instrs = phase.devices[r as usize].instrs.clone();
+                if self.failed_devices.contains(&r) {
+                    // A dead rank replays the truncated prefixes of every
+                    // logical stream it was running, in splice order.
+                    instrs.extend(hosted(true));
+                } else {
+                    // Live shard work slots in after the host's own
+                    // compute, before its trailing output waits and
+                    // reduce, in ascending logical id.
+                    let tail = instrs
+                        .iter()
+                        .rposition(|i| !matches!(i, Instr::CommWait(_) | Instr::Reduce { .. }))
+                        .map_or(0, |i| i + 1);
+                    instrs.splice(tail..tail, hosted(false));
+                }
+                DeviceStream {
+                    device: r,
+                    instrs,
+                    buffer: self.base.devices[r as usize].buffer,
+                }
+            })
+            .collect();
+        PhasePlan { comms, devices }
+    }
+}
+
+/// Appends one comm op per shard of every dying stream that has shards,
+/// filled by `fill(view, shard, transfers)`; an op left empty is skipped
+/// (`None`). Indexed `[view][shard index]`.
+fn push_shard_ops(
+    comms: &mut Vec<CommOp>,
+    views: &[DyingView],
+    s_count: u32,
+    mut fill: impl FnMut(&DyingView, u32, &mut Vec<Transfer>),
+) -> Vec<Vec<Option<CommId>>> {
+    let mut cids = Vec::with_capacity(views.len());
+    for view in views {
+        let mut row = vec![None; s_count as usize];
+        if let Some(first) = view.shards {
+            for (j, slot) in row.iter_mut().enumerate() {
+                let mut transfers = Vec::new();
+                fill(view, first + j as u32, &mut transfers);
+                if !transfers.is_empty() {
+                    *slot = Some(CommId(comms.len() as u32));
+                    comms.push(CommOp { transfers });
+                }
+            }
+        }
+        cids.push(row);
+    }
+    cids
 }
 
 impl RecoveryPlanner {
@@ -334,35 +856,14 @@ impl RecoveryPlanner {
         self
     }
 
-    /// Per-physical-device capacity weights `[compute, bytes]` derived from
-    /// the fault spec, or `None` when no spec is set or it changes nothing
-    /// (so the healthy path stays byte-identical). Mirrors the planner's
-    /// `fault_weights`.
+    /// Per-physical-device capacity weights `[compute, bytes]`: the
+    /// planner's [`FaultSpec::capacity_weights`] with compute floored too,
+    /// or `None` when no spec is set or it changes nothing (so the healthy
+    /// path stays byte-identical).
     fn fault_caps(&self, n: u32) -> Option<Vec<[f64; 2]>> {
-        let spec = self.fault_spec.as_ref()?;
-        let n = n as usize;
-        let slow = spec.slowdowns(n);
-        let mut net = vec![1.0f64; n];
-        for (src, dst, factor) in spec.link_factors() {
-            for d in [src, dst] {
-                if (d as usize) < n {
-                    net[d as usize] = net[d as usize].min(factor.max(MIN_CAP_WEIGHT));
-                }
-            }
-        }
-        for (src, dst, _period, duty, factor) in spec.flapping_links() {
-            let mean = duty * factor + (1.0 - duty);
-            for d in [src, dst] {
-                if (d as usize) < n {
-                    net[d as usize] = net[d as usize].min(mean.max(MIN_CAP_WEIGHT));
-                }
-            }
-        }
-        let w: Vec<[f64; 2]> = (0..n)
-            .map(|d| [(1.0 / slow[d].max(1.0)).max(MIN_CAP_WEIGHT), net[d]])
-            .collect();
-        if w.iter().all(|x| x[0] >= 1.0 - 1e-12 && x[1] >= 1.0 - 1e-12) {
-            return None;
+        let mut w = self.fault_spec.as_ref()?.capacity_weights(n as usize)?;
+        for x in &mut w {
+            x[0] = x[0].max(MIN_CAP_WEIGHT);
         }
         Some(w)
     }
@@ -422,17 +923,10 @@ impl RecoveryPlanner {
         let base_fwd: &PhasePlan = prior.map_or(&out.plan.fwd, |p| &p.fwd);
         let base_placement: &Placement = prior.map_or(&out.placement, |p| &p.placement);
         let base_hosts: &[u32] = prior.map_or(&[], |p| &p.shard_hosts);
-        let prior_failed_devices: Vec<u32> =
+        let mut ctx = prior.map(RecoveryPatch::verify_ctx).unwrap_or_default();
+        let mut failed_devices: Vec<u32> =
             prior.map(|p| p.failed_devices.clone()).unwrap_or_default();
-        let prior_failed_streams: HashSet<u32> =
-            prior.map(|p| p.failed_streams.clone()).unwrap_or_default();
-        let mut salvage_comms: HashSet<u32> =
-            prior.map(|p| p.salvage_comms.clone()).unwrap_or_default();
-        let mut producer_of: HashMap<(TokenBlockId, u32), u32> =
-            prior.map(|p| p.producer_of.clone()).unwrap_or_default();
-        let mut reowned: HashSet<TokenBlockId> =
-            prior.map(|p| p.reowned.clone()).unwrap_or_default();
-        let (bwd_token0, bwd_comp0) = match prior {
+        let (mut bwd_token, mut bwd_comp) = match prior {
             Some(p) => (
                 p.bwd_placement.token_to_dev.clone(),
                 p.bwd_placement.comp_to_dev.clone(),
@@ -449,13 +943,13 @@ impl RecoveryPlanner {
                 "failed device {failed} out of range for {d_total} devices"
             )));
         }
-        if prior_failed_devices.contains(&failed) {
+        if failed_devices.contains(&failed) {
             return Err(DcpError::invalid_argument(format!(
                 "device {failed} already failed in the prior patch"
             )));
         }
         let survivors: Vec<u32> = (0..d_total)
-            .filter(|x| *x != failed && !prior_failed_devices.contains(x))
+            .filter(|x| *x != failed && !failed_devices.contains(x))
             .collect();
         if survivors.is_empty() {
             return Err(DcpError::invalid_argument(
@@ -465,168 +959,75 @@ impl RecoveryPlanner {
         let s_count = survivors.len();
         let l_total = base_fwd.devices.len() as u32;
         debug_assert_eq!(l_total, d_total + base_hosts.len() as u32);
+        // Live shard streams hosted on physical rank `r`, ascending.
+        let dead = &ctx.failed;
+        let hosted = |r: u32| {
+            (d_total..l_total)
+                .filter(move |&l| base_hosts[(l - d_total) as usize] == r && !dead.contains(&l))
+        };
 
-        // --- 1. Dying logical streams, in splice order. ------------------
+        // --- 1. Dying logical streams, cut at their frontiers. -----------
         // The rank's own stream first, then any live shard streams it was
         // hosting (ascending logical id). `ev.divisions_done` distributes
         // across them in that order.
-        let dying: Vec<u32> = std::iter::once(failed)
-            .chain((d_total..l_total).filter(|&l| {
-                base_hosts[(l - d_total) as usize] == failed && !prior_failed_streams.contains(&l)
-            }))
-            .collect();
-        let dying_set: HashSet<u32> = dying.iter().copied().collect();
-
-        // --- 2. Frontier split per dying stream. -------------------------
+        let dying: Vec<u32> = std::iter::once(failed).chain(hosted(failed)).collect();
         let mut budget = ev.divisions_done;
-        let mut views: Vec<DyingView> = Vec::new();
-        let mut failed_flops = 0u64;
+        let mut views: Vec<DyingView> = Vec::with_capacity(dying.len());
         for &l in &dying {
-            let instrs = &base_fwd.devices[l as usize].instrs;
-            let na = instrs
+            let na = base_fwd.devices[l as usize]
+                .instrs
                 .iter()
                 .filter(|i| matches!(i, Instr::Attn { .. } | Instr::AttnBwd { .. }))
                 .count() as u32;
             let k = budget.min(na);
             budget -= k;
-            let (cut, executed, residual, total) = split_frontier(instrs, k, failed)?;
-            failed_flops += total;
-            let mut executed_acc: HashSet<TokenBlockId> = executed
-                .iter()
-                .map(|&c| layout.comp_blocks[c.0 as usize].q_block)
-                .collect();
-            let mut kept_waits: HashSet<u32> = HashSet::new();
-            for ins in &instrs[..cut] {
-                if let Instr::CommWait(cid) = ins {
-                    kept_waits.insert(cid.0);
-                    if salvage_comms.contains(&cid.0) {
-                        // A replayed salvage wait re-installs an inherited
-                        // accumulator — live state this stream can re-ship.
-                        for tr in &base_fwd.comms[cid.0 as usize].transfers {
-                            if tr.to == l {
-                                if let Payload::PartialO(tb, _) = tr.payload {
-                                    executed_acc.insert(tb);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            let tail_waits: Vec<u32> = instrs[cut..]
-                .iter()
-                .filter_map(|ins| match ins {
-                    Instr::CommWait(cid) if !salvage_comms.contains(&cid.0) => Some(cid.0),
-                    _ => None,
-                })
-                .collect();
-            let reduce_items: Vec<ReduceItem> = instrs
-                .iter()
-                .flat_map(|ins| match ins {
-                    Instr::Reduce { items, .. } => items.clone(),
-                    _ => Vec::new(),
-                })
-                .collect();
-            views.push(DyingView {
-                l,
-                k,
-                cut,
-                executed_acc,
-                residual,
-                kept_waits,
-                tail_waits,
-                reduce_items,
-                residual_out_cids: Vec::new(),
-                outstanding: Vec::new(),
-            });
+            views.push(DyingView::cut(
+                layout, base_fwd, &FORWARD, &ctx, l, k, failed,
+            )?);
         }
         if budget > 0 {
             return Err(DcpError::invalid_failure_event(failed, ev.divisions_done));
         }
-        let redone_flops: u64 = views
-            .iter()
-            .flat_map(|v| v.residual.iter())
-            .map(|&c| layout.comp_blocks[c.0 as usize].flops)
-            .sum();
+        let failed_flops: u64 = views.iter().map(|v| v.flops).sum();
+        let redone_flops: u64 = views.iter().map(|v| v.redone_flops(layout)).sum();
 
-        // --- 3. Residual units per dying stream. -------------------------
-        // Units from different dying streams must NOT merge: two dying
-        // streams can each hold a distinct accumulator for the same token
-        // block (owner reduce state vs. an inherited outstanding partial),
-        // and merging them would change the reduction tree — breaking
-        // bitwise equality with the clean run.
-        let view_of_stream: HashMap<u32, usize> =
-            dying.iter().enumerate().map(|(v, &l)| (l, v)).collect();
-        let mut view_units: Vec<Vec<Unit>> = Vec::with_capacity(views.len());
-        let mut unit_idx: HashMap<(u32, TokenBlockId), usize> = HashMap::new();
-        for view in &views {
-            let mut units: Vec<Unit> = Vec::new();
+        // --- 2. Residual units per dying stream. -------------------------
+        // One unit per Q block: the stream's residual blocks targeting it,
+        // its ownership duties, or an outstanding partial (a zero-item unit
+        // keeps an executed-but-unsent block's salvaged accumulator attached
+        // to a shard that re-deposits it). Units from different dying
+        // streams must NOT merge: two dying streams can each hold a
+        // distinct accumulator for the same token block (owner reduce state
+        // vs. an inherited outstanding partial), and merging them would
+        // change the reduction tree — breaking bitwise equality with the
+        // clean run.
+        for view in &mut views {
+            let mut unit_of: HashMap<TokenBlockId, usize> = HashMap::new();
+            let mut unit = |units: &mut Vec<Group>, tb: TokenBlockId| -> usize {
+                *unit_of.entry(tb).or_insert_with(|| {
+                    units.push(Group::new(PayloadKind::PartialO, tb));
+                    units.len() - 1
+                })
+            };
             for &c in &view.residual {
                 let cb = layout.comp_blocks[c.0 as usize];
-                let idx = *unit_idx.entry((view.l, cb.q_block)).or_insert_with(|| {
-                    units.push(Unit {
-                        tb: cb.q_block,
-                        items: Vec::new(),
-                        flops: 0,
-                        owned: false,
-                    });
-                    units.len() - 1
-                });
-                units[idx].items.push(c);
-                units[idx].flops += cb.flops;
+                let i = unit(&mut view.groups, cb.q_block);
+                view.groups[i].items.push(c);
+                view.groups[i].flops += cb.flops;
             }
-            view_units.push(units);
-        }
-        for (i, &owner) in base_placement.token_to_dev.iter().enumerate() {
-            if let Some(&v) = view_of_stream.get(&owner) {
-                let tb = TokenBlockId(i as u32);
-                let units = &mut view_units[v];
-                let idx = *unit_idx.entry((owner, tb)).or_insert_with(|| {
-                    units.push(Unit {
-                        tb,
-                        items: Vec::new(),
-                        flops: 0,
-                        owned: false,
-                    });
-                    units.len() - 1
-                });
-                units[idx].owned = true;
-            }
-        }
-        // Outstanding out-comms: partials launched after a dying stream's
-        // frontier. A zero-item unit keeps an executed-but-unsent block's
-        // salvaged accumulator attached to a shard that re-deposits it.
-        for (v, view) in views.iter_mut().enumerate() {
-            let instrs = &base_fwd.devices[view.l as usize].instrs;
-            for ins in &instrs[view.cut..] {
-                if let Instr::CommLaunch(cid) = ins {
-                    let mut is_out = false;
-                    for tr in &base_fwd.comms[cid.0 as usize].transfers {
-                        if let Payload::PartialO(tb, p) = tr.payload {
-                            let mine = p == view.l || producer_of.get(&(tb, p)) == Some(&view.l);
-                            if mine {
-                                is_out = true;
-                                view.outstanding.push((tb, p));
-                                let units = &mut view_units[v];
-                                unit_idx.entry((view.l, tb)).or_insert_with(|| {
-                                    units.push(Unit {
-                                        tb,
-                                        items: Vec::new(),
-                                        flops: 0,
-                                        owned: false,
-                                    });
-                                    units.len() - 1
-                                });
-                            }
-                        }
-                    }
-                    if is_out {
-                        view.residual_out_cids.push(cid.0);
-                    }
+            for (i, &owner) in base_placement.token_to_dev.iter().enumerate() {
+                if owner == view.l {
+                    let tb = TokenBlockId(i as u32);
+                    let i = unit(&mut view.groups, tb);
+                    view.groups[i].owned.push(tb);
                 }
+            }
+            for p in &view.outstanding {
+                unit(&mut view.groups, p.token_block());
             }
         }
 
-        // --- 4. Re-shard each dying stream onto survivor capacity. -------
+        // --- 3. Re-shard each dying stream onto survivor capacity. -------
         // Each dying stream with units gets its own block of fresh shard
         // streams (one per survivor). Targets water-fill the shortfall
         // between the post-recovery ideal and what each survivor already
@@ -637,31 +1038,26 @@ impl RecoveryPlanner {
         let mut queued: Vec<u64> = survivors
             .iter()
             .map(|&s| {
-                let mut q = remaining_flops(&base_fwd.devices[s as usize].instrs, k_own);
-                for l in d_total..l_total {
-                    if base_hosts[(l - d_total) as usize] == s && !prior_failed_streams.contains(&l)
-                    {
-                        q += remaining_flops(&base_fwd.devices[l as usize].instrs, 0);
-                    }
-                }
-                q
+                let own = remaining_flops(&base_fwd.devices[s as usize].instrs, k_own);
+                let shards =
+                    hosted(s).map(|l| remaining_flops(&base_fwd.devices[l as usize].instrs, 0));
+                own + shards.sum::<u64>()
             })
             .collect();
-        let unit_bytes = |u: &Unit| {
-            let tb = &layout.token_blocks[u.tb.0 as usize];
-            tb.o_bytes + if u.owned { tb.total_bytes() } else { 0 }
+        let unit_bytes = |u: &Group| {
+            let tb = |t: &TokenBlockId| &layout.token_blocks[t.0 as usize];
+            let accs = u.accs.iter().map(|(_, t)| tb(t).o_bytes);
+            accs.chain(u.owned.iter().map(|t| tb(t).total_bytes()))
+                .sum::<u64>()
         };
         let mut shard_hosts: Vec<u32> = base_hosts.to_vec();
-        let mut view_base: Vec<Option<u32>> = vec![None; views.len()];
-        let mut part_of: Vec<Vec<u32>> = Vec::with_capacity(views.len());
         let mut greedy_fallback = false;
-        for units in &view_units {
+        for view in &mut views {
+            let units = &view.groups;
             if units.is_empty() {
-                part_of.push(Vec::new());
                 continue;
             }
-            let v = part_of.len();
-            view_base[v] = Some(d_total + shard_hosts.len() as u32);
+            view.shards = Some(d_total + shard_hosts.len() as u32);
             shard_hosts.extend(survivors.iter().copied());
             let residual_total: u64 = units.iter().map(|u| u.flops).sum();
             let bytes_total: u64 = units.iter().map(unit_bytes).sum();
@@ -672,7 +1068,7 @@ impl RecoveryPlanner {
                 bytes_total,
                 caps.as_deref(),
             );
-            let assignment: Vec<u32> = if s_count == 1 {
+            view.part = if s_count == 1 {
                 vec![0; units.len()]
             } else {
                 let mut b = HypergraphBuilder::new(units.len());
@@ -707,361 +1103,32 @@ impl RecoveryPlanner {
                     }
                 }
             };
-            for (i, u) in units.iter().enumerate() {
-                queued[assignment[i] as usize] += u.flops;
+            for (u, &j) in units.iter().zip(&view.part) {
+                queued[j as usize] += u.flops;
             }
-            part_of.push(assignment);
         }
 
-        // --- 5. Patched placement over the grown logical device set. -----
-        let mut token_to_dev = base_placement.token_to_dev.clone();
-        let mut comp_to_dev = base_placement.comp_to_dev.clone();
-        let mut unit_dev: HashMap<(u32, TokenBlockId), u32> = HashMap::new();
-        for (v, units) in view_units.iter().enumerate() {
-            let Some(base) = view_base[v] else { continue };
-            for (i, u) in units.iter().enumerate() {
-                let dev = base + part_of[v][i];
-                unit_dev.insert((views[v].l, u.tb), dev);
-                if u.owned {
-                    token_to_dev[u.tb.0 as usize] = dev;
-                    reowned.insert(u.tb);
-                }
-                for &c in &u.items {
-                    comp_to_dev[c.0 as usize] = dev;
-                }
-            }
+        // --- 4. Render the functional phase and its host fold. -----------
+        failed_devices.push(failed);
+        ctx.failed.extend(dying.iter().copied());
+        let r = Renderer {
+            layout,
+            dir: &FORWARD,
+            origin: &out.placement,
+            base_placement,
+            base: base_fwd,
+            views: &views,
+            shard_hosts: &shard_hosts,
+            failed_devices: &failed_devices,
         }
-        let placement = Placement {
-            num_devices: d_total + shard_hosts.len() as u32,
-            token_to_dev,
-            comp_to_dev,
-        };
+        .render(ctx)?;
 
-        // --- 6. Patched comm ops. ----------------------------------------
-        let mut comms: Vec<CommOp> = base_fwd.comms.clone();
-        // Partials bound for a dying stream move with the block — unless
-        // the receiving wait sits in the kept prefix, which replays it.
-        // Non-salvage partials target the block's owner, so they follow
-        // ownership; a prior patch's salvage evacuation follows the unit
-        // that was going to consume it.
-        for (cid, op) in comms.iter_mut().enumerate() {
-            for tr in &mut op.transfers {
-                if !dying_set.contains(&tr.to) {
-                    continue;
-                }
-                if let Payload::PartialO(tb, _) = tr.payload {
-                    let v = view_of_stream[&tr.to];
-                    if views[v].kept_waits.contains(&(cid as u32)) {
-                        continue;
-                    }
-                    if salvage_comms.contains(&(cid as u32)) {
-                        tr.to = *unit_dev.get(&(tr.to, tb)).ok_or_else(|| {
-                            DcpError::invalid_plan(format!(
-                                "inherited salvage for {tb:?} targets dying stream {} \
-                                 but the block has no residual unit",
-                                tr.to
-                            ))
-                        })?;
-                    } else {
-                        let dev = placement.token_dev(tb);
-                        debug_assert!(dev >= d_total, "partial retarget must land on a shard");
-                        tr.to = dev;
-                    }
-                }
-            }
-        }
-        // Outstanding partials now deposit from each unit's new shard.
-        for (v, view) in views.iter().enumerate() {
-            let _ = v;
-            for &(tb, p) in &view.outstanding {
-                producer_of.insert((tb, p), unit_dev[&(view.l, tb)]);
-            }
-        }
-        // Salvage ops: live accumulators a dying stream built (or had
-        // re-installed) before its frontier that a shard still needs —
-        // residual folds, outstanding partials, or final assembly of a
-        // re-owned block. One op per (dying stream, shard) pair.
-        let mut salvage_bytes = 0u64;
-        let mut view_salvage_cid: Vec<Vec<Option<CommId>>> = Vec::with_capacity(views.len());
-        for (v, view) in views.iter().enumerate() {
-            let mut cids: Vec<Option<CommId>> = vec![None; s_count];
-            if let Some(base) = view_base[v] {
-                #[allow(clippy::needless_range_loop)]
-                for j in 0..s_count {
-                    let transfers: Vec<Transfer> = view_units[v]
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, u)| {
-                            part_of[v][i] == j as u32 && view.executed_acc.contains(&u.tb)
-                        })
-                        .map(|(_, u)| {
-                            let bytes = layout.token_blocks[u.tb.0 as usize].o_bytes;
-                            salvage_bytes += bytes;
-                            Transfer {
-                                from: view.l,
-                                to: base + j as u32,
-                                payload: Payload::PartialO(u.tb, view.l),
-                                bytes,
-                            }
-                        })
-                        .collect();
-                    if !transfers.is_empty() {
-                        let cid = CommId(comms.len() as u32);
-                        cids[j] = Some(cid);
-                        salvage_comms.insert(cid.0);
-                        comms.push(CommOp { transfers });
-                    }
-                }
-            }
-            view_salvage_cid.push(cids);
-        }
-        // Input re-fetch ops: Q/KV slices a shard's residual blocks read
-        // that it does not own under the patched placement. `from` is the
-        // original owner — the device physically holding the data (dead
-        // devices keep serving resident blocks while draining, which the
-        // verifier admits via the re-owned set).
-        let mut refetch_bytes = 0u64;
-        let mut view_fetch_cid: Vec<Vec<Option<CommId>>> = Vec::with_capacity(views.len());
-        for (v, view) in views.iter().enumerate() {
-            let _ = view;
-            let mut cids: Vec<Option<CommId>> = vec![None; s_count];
-            if let Some(base) = view_base[v] {
-                #[allow(clippy::needless_range_loop)]
-                for j in 0..s_count {
-                    let dev = base + j as u32;
-                    let mut seen: HashSet<Payload> = HashSet::new();
-                    let mut transfers: Vec<Transfer> = Vec::new();
-                    for (i, u) in view_units[v].iter().enumerate() {
-                        if part_of[v][i] != j as u32 {
-                            continue;
-                        }
-                        for &c in &u.items {
-                            let cb = layout.comp_blocks[c.0 as usize];
-                            let qb = &layout.token_blocks[cb.q_block.0 as usize];
-                            let kb = &layout.token_blocks[cb.kv_block.0 as usize];
-                            for (payload, bytes) in [
-                                (Payload::Q(cb.q_block), qb.q_bytes),
-                                (Payload::Kv(cb.kv_block), kb.kv_bytes),
-                            ] {
-                                let tb = payload.token_block();
-                                if placement.token_dev(tb) == dev || !seen.insert(payload) {
-                                    continue;
-                                }
-                                refetch_bytes += bytes;
-                                transfers.push(Transfer {
-                                    from: out.placement.token_dev(tb),
-                                    to: dev,
-                                    payload,
-                                    bytes,
-                                });
-                            }
-                        }
-                    }
-                    if !transfers.is_empty() {
-                        let cid = CommId(comms.len() as u32);
-                        cids[j] = Some(cid);
-                        comms.push(CommOp { transfers });
-                    }
-                }
-            }
-            view_fetch_cid.push(cids);
-        }
-
-        // --- 7. Streams: truncate the dying streams, emit shards. --------
-        let failed_devices: Vec<u32> = prior_failed_devices
-            .iter()
-            .copied()
-            .chain(std::iter::once(failed))
-            .collect();
-        let mut failed_streams = prior_failed_streams;
-        failed_streams.extend(dying.iter().copied());
-
-        let mut devices: Vec<DeviceStream> = base_fwd.devices.clone();
-        for (v, view) in views.iter().enumerate() {
-            let orig = &base_fwd.devices[view.l as usize];
-            let mut truncated: Vec<Instr> = orig.instrs[..view.cut].to_vec();
-            for cid in view_salvage_cid[v].iter().flatten() {
-                truncated.push(Instr::CommLaunch(*cid));
-            }
-            devices[view.l as usize] = DeviceStream {
-                device: view.l,
-                instrs: truncated,
-                buffer: orig.buffer,
-            };
-        }
-        // Old salvage evacuations whose receiving wait was truncated now
-        // land on new shards; those shards must wait on them before any
-        // residual fold touches the installed accumulator.
-        let base_ncomms = base_fwd.comms.len();
-        for (v, view) in views.iter().enumerate() {
-            let Some(base) = view_base[v] else { continue };
-            for j in 0..s_count {
-                let dev = base + j as u32;
-                let mut instrs: Vec<Instr> = Vec::new();
-                if let Some(cid) = view_fetch_cid[v][j] {
-                    instrs.push(Instr::CommLaunch(cid));
-                }
-                for cid in 0..base_ncomms as u32 {
-                    if salvage_comms.contains(&cid)
-                        && comms[cid as usize].transfers.iter().any(|tr| tr.to == dev)
-                    {
-                        instrs.push(Instr::CommWait(CommId(cid)));
-                    }
-                }
-                if let Some(cid) = view_salvage_cid[v][j] {
-                    instrs.push(Instr::CommWait(cid));
-                }
-                if let Some(cid) = view_fetch_cid[v][j] {
-                    instrs.push(Instr::CommWait(cid));
-                }
-                let items: Vec<CompBlockId> = view
-                    .residual
-                    .iter()
-                    .copied()
-                    .filter(|&c| placement.comp_dev(c) == dev)
-                    .collect();
-                if !items.is_empty() {
-                    let flops = items
-                        .iter()
-                        .map(|&c| layout.comp_blocks[c.0 as usize].flops)
-                        .sum();
-                    instrs.push(Instr::Attn { items, flops });
-                }
-                for &cid in &view.residual_out_cids {
-                    let mine = comms[cid as usize].transfers.iter().any(|tr| {
-                        matches!(tr.payload, Payload::PartialO(tb, p)
-                            if producer_of.get(&(tb, p)) == Some(&dev))
-                    });
-                    if mine {
-                        instrs.push(Instr::CommLaunch(CommId(cid)));
-                    }
-                }
-                for &cid in &view.tail_waits {
-                    if comms[cid as usize].transfers.iter().any(|tr| tr.to == dev) {
-                        instrs.push(Instr::CommWait(CommId(cid)));
-                    }
-                }
-                let ritems: Vec<ReduceItem> = view
-                    .reduce_items
-                    .iter()
-                    .filter(|it| placement.token_dev(it.target) == dev)
-                    .cloned()
-                    .collect();
-                if !ritems.is_empty() {
-                    let bytes = reduce_bytes(layout, &ritems);
-                    instrs.push(Instr::Reduce {
-                        items: ritems,
-                        bytes,
-                    });
-                }
-                devices.push(DeviceStream {
-                    device: dev,
-                    instrs,
-                    buffer: BufferStats::default(),
-                });
-            }
-        }
-        let patch_fwd = PhasePlan {
-            comms: comms.clone(),
-            devices,
-        };
-
-        // --- 8. Timing plan: fold shards onto their physical hosts. ------
-        let host = |x: u32| {
-            if x >= d_total {
-                shard_hosts[(x - d_total) as usize]
-            } else {
-                x
-            }
-        };
-        let tcomms: Vec<CommOp> = comms
-            .iter()
-            .enumerate()
-            .map(|(cid, op)| CommOp {
-                transfers: op
-                    .transfers
-                    .iter()
-                    .map(|tr| {
-                        // Outstanding partials are now produced by a shard,
-                        // so the flow must originate from the shard's host
-                        // for the spliced launch to start it. Salvage ops
-                        // are genuine dead→shard evacuations and keep
-                        // their source.
-                        let from = match tr.payload {
-                            Payload::PartialO(tb, p)
-                                if failed_streams.contains(&tr.from)
-                                    && !salvage_comms.contains(&(cid as u32)) =>
-                            {
-                                producer_of.get(&(tb, p)).copied().unwrap_or(tr.from)
-                            }
-                            _ => tr.from,
-                        };
-                        Transfer { from, ..*tr }
-                    })
-                    .filter(|tr| host(tr.from) != host(tr.to))
-                    .map(|tr| Transfer {
-                        from: host(tr.from),
-                        to: host(tr.to),
-                        ..tr
-                    })
-                    .collect(),
-            })
-            .collect();
-        let l_new = d_total + shard_hosts.len() as u32;
-        let mut tdevices: Vec<DeviceStream> = Vec::with_capacity(d_total as usize);
-        for r in 0..d_total {
-            if failed_devices.contains(&r) {
-                // A dead rank replays the truncated prefixes of every
-                // logical stream it was running, in splice order.
-                let mut instrs: Vec<Instr> = patch_fwd.devices[r as usize].instrs.clone();
-                for l in d_total..l_new {
-                    if shard_hosts[(l - d_total) as usize] == r && failed_streams.contains(&l) {
-                        instrs.extend(patch_fwd.devices[l as usize].instrs.iter().cloned());
-                    }
-                }
-                tdevices.push(DeviceStream {
-                    device: r,
-                    instrs,
-                    buffer: base_fwd.devices[r as usize].buffer,
-                });
-                continue;
-            }
-            let orig = &base_fwd.devices[r as usize];
-            let mut instrs = orig.instrs.clone();
-            // Shard work slots in after the host's own compute, before its
-            // trailing output waits and reduce. Every live shard hosted on
-            // this rank splices here, in ascending logical id.
-            let mut tail = instrs.len();
-            while tail > 0 && matches!(instrs[tail - 1], Instr::CommWait(_) | Instr::Reduce { .. })
-            {
-                tail -= 1;
-            }
-            let mut spliced: Vec<Instr> = Vec::new();
-            for l in d_total..l_new {
-                if shard_hosts[(l - d_total) as usize] == r && !failed_streams.contains(&l) {
-                    spliced.extend(patch_fwd.devices[l as usize].instrs.iter().cloned());
-                }
-            }
-            instrs.splice(tail..tail, spliced);
-            tdevices.push(DeviceStream {
-                device: r,
-                instrs,
-                buffer: orig.buffer,
-            });
-        }
-        let timing = PhasePlan {
-            comms: tcomms,
-            devices: tdevices,
-        };
-
-        // --- 9. Backward: re-plan from scratch on the survivors. ---------
-        let mut bwd_token = bwd_token0;
-        let mut bwd_comp = bwd_comp0;
-        for (v, units) in view_units.iter().enumerate() {
-            for (i, u) in units.iter().enumerate() {
-                let s = survivors[part_of[v][i] as usize];
-                if u.owned {
-                    bwd_token[u.tb.0 as usize] = s;
+        // --- 5. Backward: re-plan from scratch on the survivors. ---------
+        for view in &views {
+            for (u, &j) in view.groups.iter().zip(&view.part) {
+                let s = survivors[j as usize];
+                for &tb in &u.owned {
+                    bwd_token[tb.0 as usize] = s;
                 }
                 for &c in &u.items {
                     bwd_comp[c.0 as usize] = s;
@@ -1108,25 +1175,31 @@ impl RecoveryPlanner {
         let stats = RecoveryStats {
             failed_flops,
             redone_flops,
-            salvage_bytes,
-            refetch_bytes,
-            residual_units: view_units.iter().map(Vec::len).sum(),
+            salvage_bytes: r.salvage_bytes,
+            refetch_bytes: r.refetch_bytes,
+            residual_units: views.iter().map(|v| v.groups.len()).sum(),
             greedy_fallback,
             plan_wall_s: 0.0,
             cascade_depth,
         };
+        let VerifyCtx {
+            failed: failed_streams,
+            salvage_comms,
+            producer_of,
+            reowned,
+        } = r.ctx;
         let mut patch = RecoveryPatch {
             failed,
             divisions_done: ev.divisions_done,
             failed_devices,
             failed_streams,
             shard_hosts,
-            placement,
-            fwd: patch_fwd,
+            placement: r.placement,
+            fwd: r.phase,
             salvage_comms,
             producer_of,
             reowned,
-            timing,
+            timing: r.timing,
             bwd_placement,
             bwd,
             stats,
@@ -1191,41 +1264,27 @@ impl RecoveryPlanner {
             ));
         }
         let survivors: Vec<u32> = (0..d_total).filter(|&x| x != failed).collect();
-        let s_count = survivors.len();
         let bwd = &out.plan.bwd;
-        let bstream = &bwd.devices[failed as usize];
 
-        // --- 1. Reduction frontier: split the dead backward stream. ------
-        let (cut, executed, residual, failed_flops) =
-            split_frontier(&bstream.instrs, ev.divisions_done, failed)?;
-        let redone_flops: u64 = residual
-            .iter()
-            .map(|&c| layout.comp_blocks[c.0 as usize].flops)
-            .sum();
-        let executed_dq: HashSet<TokenBlockId> = executed
-            .iter()
-            .map(|&c| layout.comp_blocks[c.0 as usize].q_block)
-            .collect();
-        let executed_dkv: HashSet<TokenBlockId> = executed
-            .iter()
-            .map(|&c| layout.comp_blocks[c.0 as usize].kv_block)
-            .collect();
-        let kept_waits: HashSet<u32> = bstream.instrs[..cut]
-            .iter()
-            .filter_map(|ins| match ins {
-                Instr::CommWait(cid) => Some(cid.0),
-                _ => None,
-            })
-            .collect();
+        // --- 1. Reduction frontier: cut the dead backward stream. --------
+        let mut view = DyingView::cut(
+            layout,
+            bwd,
+            &BACKWARD,
+            &VerifyCtx::default(),
+            failed,
+            ev.divisions_done,
+            failed,
+        )?;
 
         // --- 2. Components of the accumulator contribution graph. --------
         // Node = one surviving accumulator (dQ or dKV of a token block).
-        let mut nodes: Vec<(bool, TokenBlockId)> = Vec::new();
-        let mut node_id: HashMap<(bool, TokenBlockId), usize> = HashMap::new();
+        let mut nodes: Vec<(PayloadKind, TokenBlockId)> = Vec::new();
+        let mut node_id: HashMap<(PayloadKind, TokenBlockId), usize> = HashMap::new();
         let mut parent: Vec<usize> = Vec::new();
-        let mut node = |is_dkv: bool, tb: TokenBlockId, parent: &mut Vec<usize>| -> usize {
-            *node_id.entry((is_dkv, tb)).or_insert_with(|| {
-                nodes.push((is_dkv, tb));
+        let mut node = |acc: (PayloadKind, TokenBlockId), parent: &mut Vec<usize>| -> usize {
+            *node_id.entry(acc).or_insert_with(|| {
+                nodes.push(acc);
                 parent.push(parent.len());
                 parent.len() - 1
             })
@@ -1243,10 +1302,11 @@ impl RecoveryPlanner {
                 parent[rb.max(ra)] = ra.min(rb);
             }
         };
-        for &c in &residual {
+        let (dq, dkv) = (PayloadKind::PartialDq, PayloadKind::PartialDkv);
+        for &c in &view.residual {
             let cb = layout.comp_blocks[c.0 as usize];
-            let a = node(false, cb.q_block, &mut parent);
-            let b = node(true, cb.kv_block, &mut parent);
+            let a = node((dq, cb.q_block), &mut parent);
+            let b = node((dkv, cb.kv_block), &mut parent);
             union(a, b, &mut parent);
         }
         let mut owned_tbs: Vec<TokenBlockId> = Vec::new();
@@ -1254,71 +1314,43 @@ impl RecoveryPlanner {
             if owner == failed {
                 let tb = TokenBlockId(i as u32);
                 owned_tbs.push(tb);
-                let a = node(false, tb, &mut parent);
-                let b = node(true, tb, &mut parent);
+                let a = node((dq, tb), &mut parent);
+                let b = node((dkv, tb), &mut parent);
                 union(a, b, &mut parent);
             }
         }
         // Outstanding gradient partials launched after the frontier.
-        let mut residual_out_cids: Vec<u32> = Vec::new();
-        let mut outstanding: Vec<(bool, TokenBlockId)> = Vec::new();
-        for ins in &bstream.instrs[cut..] {
-            if let Instr::CommLaunch(cid) = ins {
-                let mut is_out = false;
-                for tr in &bwd.comms[cid.0 as usize].transfers {
-                    match tr.payload {
-                        Payload::PartialDq(tb, p) if p == failed => {
-                            is_out = true;
-                            outstanding.push((false, tb));
-                            node(false, tb, &mut parent);
-                        }
-                        Payload::PartialDkv(tb, p) if p == failed => {
-                            is_out = true;
-                            outstanding.push((true, tb));
-                            node(true, tb, &mut parent);
-                        }
-                        _ => {}
-                    }
-                }
-                if is_out {
-                    residual_out_cids.push(cid.0);
-                }
-            }
+        for p in &view.outstanding {
+            node((p.kind(), p.token_block()), &mut parent);
         }
-        // Group nodes into components, in node insertion order.
-        #[derive(Default)]
-        struct BwdComponent {
-            flops: u64,
-            key: u32,
-            items: Vec<CompBlockId>,
-            dq: Vec<TokenBlockId>,
-            dkv: Vec<TokenBlockId>,
-        }
+        // Group nodes into components, in node insertion order; each
+        // component salvages its dQ sums before its dKV sums.
         let mut comp_of_root: HashMap<usize, usize> = HashMap::new();
-        let mut comps: Vec<BwdComponent> = Vec::new();
+        let mut comps: Vec<Group> = Vec::new();
         let mut comp_of_node = vec![0usize; nodes.len()];
-        for i in 0..nodes.len() {
+        for (i, &acc) in nodes.iter().enumerate() {
             let r = find(&mut parent, i);
             let ci = *comp_of_root.entry(r).or_insert_with(|| {
-                comps.push(BwdComponent {
-                    key: nodes[i].1 .0,
+                comps.push(Group {
+                    key: acc.1 .0,
                     ..Default::default()
                 });
                 comps.len() - 1
             });
             comp_of_node[i] = ci;
-            let (is_dkv, tb) = nodes[i];
-            if is_dkv {
-                comps[ci].dkv.push(tb);
-            } else {
-                comps[ci].dq.push(tb);
-            }
+            comps[ci].accs.push(acc);
         }
-        for &c in &residual {
+        for comp in &mut comps {
+            comp.accs.sort_by_key(|&(kind, _)| kind);
+        }
+        for &c in &view.residual {
             let cb = layout.comp_blocks[c.0 as usize];
-            let ci = comp_of_node[node_id[&(false, cb.q_block)]];
+            let ci = comp_of_node[node_id[&(dq, cb.q_block)]];
             comps[ci].items.push(c);
             comps[ci].flops += cb.flops;
+        }
+        for tb in owned_tbs {
+            comps[comp_of_node[node_id[&(dq, tb)]]].owned.push(tb);
         }
 
         // --- 3. Water-fill components over survivor backward capacity. ---
@@ -1330,8 +1362,8 @@ impl RecoveryPlanner {
         let residual_total: u64 = comps.iter().map(|c| c.flops).sum();
         let bytes_total: u64 = comps
             .iter()
-            .flat_map(|c| c.dq.iter().chain(&c.dkv))
-            .map(|&tb| layout.token_blocks[tb.0 as usize].o_bytes)
+            .flat_map(|c| &c.accs)
+            .map(|&(_, tb)| layout.token_blocks[tb.0 as usize].o_bytes)
             .sum();
         let targets = recovery_targets(
             &queued,
@@ -1340,309 +1372,35 @@ impl RecoveryPlanner {
             bytes_total,
             caps.as_deref(),
         );
-        let keyed: Vec<(u64, u32)> = comps.iter().map(|c| (c.flops, c.key)).collect();
-        let part_of = waterfill_by(&keyed, &targets);
+        view.part = waterfill(&comps, &targets);
+        view.groups = comps;
+        view.shards = Some(d_total);
 
-        // --- 4. Placement over D + S logical devices. --------------------
-        let shard_dev = |j: u32| d_total + j;
-        let mut token_to_dev = out.placement.token_to_dev.clone();
-        let mut comp_to_dev = out.placement.comp_to_dev.clone();
-        let mut reowned: HashSet<TokenBlockId> = HashSet::new();
-        for &tb in &owned_tbs {
-            let ci = comp_of_node[node_id[&(false, tb)]];
-            token_to_dev[tb.0 as usize] = shard_dev(part_of[ci]);
-            reowned.insert(tb);
+        // --- 4. Render the functional phase and its host fold. -----------
+        let failed_flops = view.flops;
+        let redone_flops = view.redone_flops(layout);
+        let residual_units = view.groups.len();
+        let r = Renderer {
+            layout,
+            dir: &BACKWARD,
+            origin: &out.placement,
+            base_placement: &out.placement,
+            base: bwd,
+            views: &[view],
+            shard_hosts: &survivors,
+            failed_devices: &[failed],
         }
-        for (ci, comp) in comps.iter().enumerate() {
-            for &c in &comp.items {
-                comp_to_dev[c.0 as usize] = shard_dev(part_of[ci]);
-            }
-        }
-        let placement = Placement {
-            num_devices: d_total + s_count as u32,
-            token_to_dev,
-            comp_to_dev,
-        };
-
-        // --- 5. Patched comm ops. ----------------------------------------
-        let mut comms: Vec<CommOp> = bwd.comms.clone();
-        for (cid, op) in comms.iter_mut().enumerate() {
-            for tr in &mut op.transfers {
-                if tr.to != failed || kept_waits.contains(&(cid as u32)) {
-                    continue;
-                }
-                if let Payload::PartialDq(tb, _) | Payload::PartialDkv(tb, _) = tr.payload {
-                    let dev = placement.token_dev(tb);
-                    debug_assert!(dev >= d_total, "gradient partial must follow ownership");
-                    tr.to = dev;
-                }
-            }
-        }
-        let mut producer_of_dq: HashMap<(TokenBlockId, u32), u32> = HashMap::new();
-        let mut producer_of_dkv: HashMap<(TokenBlockId, u32), u32> = HashMap::new();
-        for &(is_dkv, tb) in &outstanding {
-            let dev = shard_dev(part_of[comp_of_node[node_id[&(is_dkv, tb)]]]);
-            if is_dkv {
-                producer_of_dkv.insert((tb, failed), dev);
-            } else {
-                producer_of_dq.insert((tb, failed), dev);
-            }
-        }
-        // Salvage ops: the dead stream's raw dQ/dKV running sums for
-        // accumulators with executed contributions, shipped to the shard
-        // hosting their component.
-        let mut salvage_comms: HashSet<u32> = HashSet::new();
-        let mut salvage_cid: Vec<Option<CommId>> = vec![None; s_count];
-        let mut salvage_bytes = 0u64;
-        #[allow(clippy::needless_range_loop)]
-        for j in 0..s_count {
-            let mut transfers: Vec<Transfer> = Vec::new();
-            for (ci, comp) in comps.iter().enumerate() {
-                if part_of[ci] != j as u32 {
-                    continue;
-                }
-                for &tb in &comp.dq {
-                    if executed_dq.contains(&tb) {
-                        let bytes = layout.token_blocks[tb.0 as usize].q_bytes;
-                        salvage_bytes += bytes;
-                        transfers.push(Transfer {
-                            from: failed,
-                            to: shard_dev(j as u32),
-                            payload: Payload::PartialDq(tb, failed),
-                            bytes,
-                        });
-                    }
-                }
-                for &tb in &comp.dkv {
-                    if executed_dkv.contains(&tb) {
-                        let bytes = layout.token_blocks[tb.0 as usize].kv_bytes;
-                        salvage_bytes += bytes;
-                        transfers.push(Transfer {
-                            from: failed,
-                            to: shard_dev(j as u32),
-                            payload: Payload::PartialDkv(tb, failed),
-                            bytes,
-                        });
-                    }
-                }
-            }
-            if !transfers.is_empty() {
-                let cid = CommId(comms.len() as u32);
-                salvage_cid[j] = Some(cid);
-                salvage_comms.insert(cid.0);
-                comms.push(CommOp { transfers });
-            }
-        }
-        // Input re-fetch: Q/KV/dO slices the shard's residual items read.
-        let mut fetch_cid: Vec<Option<CommId>> = vec![None; s_count];
-        let mut refetch_bytes = 0u64;
-        #[allow(clippy::needless_range_loop)]
-        for j in 0..s_count {
-            let dev = shard_dev(j as u32);
-            let mut seen: HashSet<Payload> = HashSet::new();
-            let mut transfers: Vec<Transfer> = Vec::new();
-            for (ci, comp) in comps.iter().enumerate() {
-                if part_of[ci] != j as u32 {
-                    continue;
-                }
-                for &c in &comp.items {
-                    let cb = layout.comp_blocks[c.0 as usize];
-                    let qb = &layout.token_blocks[cb.q_block.0 as usize];
-                    let kb = &layout.token_blocks[cb.kv_block.0 as usize];
-                    for (payload, bytes) in [
-                        (Payload::Q(cb.q_block), qb.q_bytes),
-                        (Payload::Kv(cb.kv_block), kb.kv_bytes),
-                        (Payload::DO(cb.q_block), qb.o_bytes),
-                    ] {
-                        let tb = payload.token_block();
-                        if placement.token_dev(tb) == dev || !seen.insert(payload) {
-                            continue;
-                        }
-                        refetch_bytes += bytes;
-                        transfers.push(Transfer {
-                            from: out.placement.token_dev(tb),
-                            to: dev,
-                            payload,
-                            bytes,
-                        });
-                    }
-                }
-            }
-            if !transfers.is_empty() {
-                let cid = CommId(comms.len() as u32);
-                fetch_cid[j] = Some(cid);
-                comms.push(CommOp { transfers });
-            }
-        }
-
-        // --- 6. Streams. --------------------------------------------------
-        let mut truncated: Vec<Instr> = bstream.instrs[..cut].to_vec();
-        for cid in salvage_cid.iter().flatten() {
-            truncated.push(Instr::CommLaunch(*cid));
-        }
-        let tail_waits: Vec<u32> = bstream.instrs[cut..]
-            .iter()
-            .filter_map(|ins| match ins {
-                Instr::CommWait(cid) => Some(cid.0),
-                _ => None,
-            })
-            .collect();
-        let failed_reduce: Vec<ReduceItem> = bstream
-            .instrs
-            .iter()
-            .flat_map(|ins| match ins {
-                Instr::Reduce { items, .. } => items.clone(),
-                _ => Vec::new(),
-            })
-            .collect();
-        let mut devices: Vec<DeviceStream> = bwd.devices.clone();
-        devices[failed as usize] = DeviceStream {
-            device: failed,
-            instrs: truncated.clone(),
-            buffer: bstream.buffer,
-        };
-        for j in 0..s_count {
-            let dev = shard_dev(j as u32);
-            let mut instrs: Vec<Instr> = Vec::new();
-            if let Some(cid) = fetch_cid[j] {
-                instrs.push(Instr::CommLaunch(cid));
-            }
-            if let Some(cid) = salvage_cid[j] {
-                instrs.push(Instr::CommWait(cid));
-            }
-            if let Some(cid) = fetch_cid[j] {
-                instrs.push(Instr::CommWait(cid));
-            }
-            let items: Vec<CompBlockId> = residual
-                .iter()
-                .copied()
-                .filter(|&c| placement.comp_dev(c) == dev)
-                .collect();
-            if !items.is_empty() {
-                let flops = items
-                    .iter()
-                    .map(|&c| layout.comp_blocks[c.0 as usize].flops)
-                    .sum();
-                instrs.push(Instr::AttnBwd { items, flops });
-            }
-            for &cid in &residual_out_cids {
-                let mine = comms[cid as usize]
-                    .transfers
-                    .iter()
-                    .any(|tr| match tr.payload {
-                        Payload::PartialDq(tb, p) => producer_of_dq.get(&(tb, p)) == Some(&dev),
-                        Payload::PartialDkv(tb, p) => producer_of_dkv.get(&(tb, p)) == Some(&dev),
-                        _ => false,
-                    });
-                if mine {
-                    instrs.push(Instr::CommLaunch(CommId(cid)));
-                }
-            }
-            for &cid in &tail_waits {
-                if comms[cid as usize].transfers.iter().any(|tr| tr.to == dev) {
-                    instrs.push(Instr::CommWait(CommId(cid)));
-                }
-            }
-            let ritems: Vec<ReduceItem> = failed_reduce
-                .iter()
-                .filter(|it| placement.token_dev(it.target) == dev)
-                .cloned()
-                .collect();
-            if !ritems.is_empty() {
-                let bytes = reduce_bytes(layout, &ritems);
-                instrs.push(Instr::Reduce {
-                    items: ritems,
-                    bytes,
-                });
-            }
-            devices.push(DeviceStream {
-                device: dev,
-                instrs,
-                buffer: BufferStats::default(),
-            });
-        }
-        let patch_bwd = PhasePlan {
-            comms: comms.clone(),
-            devices,
-        };
-
-        // --- 7. Timing plan. ----------------------------------------------
-        let host = |x: u32| {
-            if x >= d_total {
-                survivors[(x - d_total) as usize]
-            } else {
-                x
-            }
-        };
-        let tcomms: Vec<CommOp> = comms
-            .iter()
-            .enumerate()
-            .map(|(cid, op)| CommOp {
-                transfers: op
-                    .transfers
-                    .iter()
-                    .map(|tr| {
-                        let from = match tr.payload {
-                            Payload::PartialDq(tb, p)
-                                if tr.from == failed && !salvage_comms.contains(&(cid as u32)) =>
-                            {
-                                producer_of_dq.get(&(tb, p)).copied().unwrap_or(tr.from)
-                            }
-                            Payload::PartialDkv(tb, p)
-                                if tr.from == failed && !salvage_comms.contains(&(cid as u32)) =>
-                            {
-                                producer_of_dkv.get(&(tb, p)).copied().unwrap_or(tr.from)
-                            }
-                            _ => tr.from,
-                        };
-                        Transfer { from, ..*tr }
-                    })
-                    .filter(|tr| host(tr.from) != host(tr.to))
-                    .map(|tr| Transfer {
-                        from: host(tr.from),
-                        to: host(tr.to),
-                        ..tr
-                    })
-                    .collect(),
-            })
-            .collect();
-        let mut tdevices: Vec<DeviceStream> = Vec::with_capacity(d_total as usize);
-        for r in 0..d_total {
-            if r == failed {
-                tdevices.push(DeviceStream {
-                    device: r,
-                    instrs: truncated.clone(),
-                    buffer: bstream.buffer,
-                });
-                continue;
-            }
-            let j = survivors.iter().position(|&s| s == r).expect("survivor");
-            let orig = &bwd.devices[r as usize];
-            let mut instrs = orig.instrs.clone();
-            let mut tail = instrs.len();
-            while tail > 0 && matches!(instrs[tail - 1], Instr::CommWait(_) | Instr::Reduce { .. })
-            {
-                tail -= 1;
-            }
-            let shard = patch_bwd.devices[d_total as usize + j].instrs.clone();
-            instrs.splice(tail..tail, shard);
-            tdevices.push(DeviceStream {
-                device: r,
-                instrs,
-                buffer: orig.buffer,
-            });
-        }
-        let timing = PhasePlan {
-            comms: tcomms,
-            devices: tdevices,
-        };
+        .render(VerifyCtx {
+            failed: HashSet::from([failed]),
+            ..Default::default()
+        })?;
 
         let stats = RecoveryStats {
             failed_flops,
             redone_flops,
-            salvage_bytes,
-            refetch_bytes,
-            residual_units: comps.len(),
+            salvage_bytes: r.salvage_bytes,
+            refetch_bytes: r.refetch_bytes,
+            residual_units,
             greedy_fallback: false,
             plan_wall_s: 0.0,
             cascade_depth: 1,
@@ -1651,17 +1409,16 @@ impl RecoveryPlanner {
             failed,
             divisions_done: ev.divisions_done,
             shard_hosts: survivors,
-            placement,
-            bwd: patch_bwd,
-            salvage_comms,
-            producer_of_dq,
-            producer_of_dkv,
-            reowned,
-            timing,
+            placement: r.placement,
+            bwd: r.phase,
+            salvage_comms: r.ctx.salvage_comms,
+            producer_of: r.ctx.producer_of,
+            reowned: r.ctx.reowned,
+            timing: r.timing,
             stats,
         };
 
-        // --- 8. Verify both renderings. -----------------------------------
+        // --- 5. Verify both renderings. -----------------------------------
         let ctx = patch.verify_ctx();
         verify_phase(layout, &patch.placement, &patch.bwd, true, &ctx)
             .map_err(|d| DcpError::invalid_plan(format!("recovery bwd patch: {d}")))?;
@@ -1867,46 +1624,22 @@ fn pick_least_loaded(survivors: &[u32], load: &[u64], caps: Option<&[[f64; 2]]>)
     }
 }
 
-/// Deterministic greedy fallback for the residual re-shard: heaviest unit
-/// first into the shard with the most remaining flop capacity. `keyed` is
-/// `(flops, tiebreak key)` per unit.
-fn waterfill_by(keyed: &[(u64, u32)], targets: &[VertexWeight]) -> Vec<u32> {
-    let mut order: Vec<usize> = (0..keyed.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(keyed[i].0), keyed[i].1));
+/// Deterministic greedy fallback for the residual re-shard: heaviest group
+/// first (ties by key) into the shard with the most remaining flop
+/// capacity.
+fn waterfill(groups: &[Group], targets: &[VertexWeight]) -> Vec<u32> {
+    let mut order: Vec<usize> = (0..groups.len()).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(groups[i].flops), groups[i].key));
     let mut cap: Vec<i128> = targets.iter().map(|t| t[0] as i128).collect();
-    let mut part = vec![0u32; keyed.len()];
+    let mut part = vec![0u32; groups.len()];
     for i in order {
         let j = (0..cap.len())
             .max_by_key(|&j| (cap[j], std::cmp::Reverse(j)))
             .expect("nonempty targets");
         part[i] = j as u32;
-        cap[j] -= keyed[i].0.max(1) as i128;
+        cap[j] -= groups[i].flops.max(1) as i128;
     }
     part
-}
-
-/// [`waterfill_by`] over residual re-shard units.
-fn waterfill(units: &[Unit], targets: &[VertexWeight]) -> Vec<u32> {
-    let keyed: Vec<(u64, u32)> = units.iter().map(|u| (u.flops, u.tb.0)).collect();
-    waterfill_by(&keyed, targets)
-}
-
-/// The schedule's reduce byte model: read every partial plus the resident
-/// accumulator, write the accumulator.
-fn reduce_bytes(layout: &BatchLayout, items: &[ReduceItem]) -> u64 {
-    items
-        .iter()
-        .map(|it| {
-            let tb = &layout.token_blocks[it.target.0 as usize];
-            let unit = match it.kind {
-                PayloadKind::PartialO => tb.o_bytes,
-                PayloadKind::PartialDq => tb.q_bytes,
-                PayloadKind::PartialDkv => tb.kv_bytes,
-                _ => 0,
-            };
-            unit * (it.sources.len() as u64 + 2)
-        })
-        .sum()
 }
 
 #[cfg(test)]
@@ -2010,9 +1743,13 @@ mod tests {
                 assert_eq!(patch.placement.token_dev(tb), owner);
             }
         }
-        for (&(tb, _p), &shard) in &patch.producer_of {
+        for (partial, &shard) in &patch.producer_of {
             assert!(shard >= d);
-            assert_ne!(out.placement.token_dev(tb), dev, "owner partials self-sent");
+            assert_ne!(
+                out.placement.token_dev(partial.token_block()),
+                dev,
+                "owner partials self-sent"
+            );
         }
         // No transfer in the patch still targets the failed owner with a
         // partial.

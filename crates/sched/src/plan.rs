@@ -1,7 +1,7 @@
 //! The execution-plan IR: the paper's five instructions plus the transfer
 //! and communication-operation records they reference.
 
-use dcp_blocks::{CompBlockId, TokenBlockId};
+use dcp_blocks::{CompBlockId, TokenBlock, TokenBlockId};
 use serde::{Deserialize, Serialize};
 
 /// Index of a [`CommOp`] within a [`PhasePlan`].
@@ -53,12 +53,32 @@ impl Payload {
 
     /// The partial of `kind` for token block `tb` produced on `producer`
     /// (`None` for input kinds).
-    pub(crate) fn partial(kind: PayloadKind, tb: TokenBlockId, producer: u32) -> Option<Payload> {
+    pub fn partial(kind: PayloadKind, tb: TokenBlockId, producer: u32) -> Option<Payload> {
         match kind {
             PayloadKind::PartialO => Some(Payload::PartialO(tb, producer)),
             PayloadKind::PartialDq => Some(Payload::PartialDq(tb, producer)),
             PayloadKind::PartialDkv => Some(Payload::PartialDkv(tb, producer)),
             PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO => None,
+        }
+    }
+
+    /// The input of `kind` for token block `tb` (`None` for partial kinds).
+    pub fn input(kind: PayloadKind, tb: TokenBlockId) -> Option<Payload> {
+        match kind {
+            PayloadKind::Q => Some(Payload::Q(tb)),
+            PayloadKind::Kv => Some(Payload::Kv(tb)),
+            PayloadKind::DO => Some(Payload::DO(tb)),
+            PayloadKind::PartialO | PayloadKind::PartialDq | PayloadKind::PartialDkv => None,
+        }
+    }
+
+    /// The device that produced a partial (`None` for inputs).
+    pub fn producer(&self) -> Option<u32> {
+        match *self {
+            Payload::PartialO(_, p) | Payload::PartialDq(_, p) | Payload::PartialDkv(_, p) => {
+                Some(p)
+            }
+            Payload::Q(_) | Payload::Kv(_) | Payload::DO(_) => None,
         }
     }
 }
@@ -84,8 +104,18 @@ impl PayloadKind {
     /// Whether this is a model input (Q, KV, dO) rather than a partial:
     /// inputs are deposited by the receiver's launch, partials by the
     /// producer's.
-    pub(crate) fn is_input(self) -> bool {
+    pub fn is_input(self) -> bool {
         matches!(self, PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO)
+    }
+
+    /// Bytes one payload of this kind moves for token block `tb`: Q and dQ
+    /// are Q-sized, KV and dKV KV-sized, dO and partial O output-sized.
+    pub fn bytes(self, tb: &TokenBlock) -> u64 {
+        match self {
+            PayloadKind::Q | PayloadKind::PartialDq => tb.q_bytes,
+            PayloadKind::Kv | PayloadKind::PartialDkv => tb.kv_bytes,
+            PayloadKind::PartialO | PayloadKind::DO => tb.o_bytes,
+        }
     }
 }
 

@@ -428,21 +428,7 @@ fn schedule_phase(
                 })
                 .collect();
             items.sort_by_key(|it| (it.target, it.kind));
-            let bytes: u64 = items
-                .iter()
-                .map(|it| {
-                    let tb = &layout.token_blocks[it.target.0 as usize];
-                    let unit = match it.kind {
-                        PayloadKind::PartialO => tb.o_bytes,
-                        PayloadKind::PartialDq => tb.q_bytes,
-                        PayloadKind::PartialDkv => tb.kv_bytes,
-                        _ => 0,
-                    };
-                    // Read every partial plus the resident accumulator, write
-                    // the accumulator.
-                    unit * (it.sources.len() as u64 + 2)
-                })
-                .sum();
+            let bytes = reduce_bytes(layout, &items);
             instrs.push(Instr::Reduce { items, bytes });
         }
 
@@ -460,114 +446,22 @@ fn schedule_phase(
     PhasePlan { comms, devices }
 }
 
-/// Checks plan structural invariants against the layout and placement:
-/// every computation block appears in exactly one attention instruction on
-/// its assigned device, every `CommWait` has a matching prior `CommLaunch`
-/// *or* waits for eagerly-sent input data, transfers reference the correct
-/// owners, and division 0 carries no communication.
-///
-/// # Errors
-///
-/// Returns [`DcpError::InvalidPlan`] describing the first violated
-/// invariant.
-pub fn validate_plan(
-    layout: &BatchLayout,
-    placement: &Placement,
-    plan: &ExecutionPlan,
-) -> DcpResult<()> {
-    for (phase, backward) in [(&plan.fwd, false), (&plan.bwd, true)] {
-        let mut seen = vec![false; layout.comp_blocks.len()];
-        for stream in &phase.devices {
-            let mut launched: HashSet<CommId> = HashSet::new();
-            for ins in &stream.instrs {
-                match ins {
-                    Instr::CommLaunch(cid) => {
-                        if cid.0 as usize >= phase.comms.len() {
-                            return Err(DcpError::invalid_plan("comm id out of range"));
-                        }
-                        launched.insert(*cid);
-                    }
-                    Instr::CommWait(cid) => {
-                        let op = &phase.comms[cid.0 as usize];
-                        let receives = op.transfers.iter().any(|t| t.to == stream.device);
-                        let input_only = op.transfers.iter().all(|t| t.payload.kind().is_input());
-                        if !receives {
-                            return Err(DcpError::invalid_plan(format!(
-                                "device {} waits on op {:?} that sends it nothing",
-                                stream.device, cid
-                            )));
-                        }
-                        // Input fetches are receiver-launched; partials are
-                        // producer-launched, so the receiver legitimately
-                        // waits without launching.
-                        if input_only && !launched.contains(cid) {
-                            return Err(DcpError::invalid_plan(format!(
-                                "device {} waits on input op {:?} before launching it",
-                                stream.device, cid
-                            )));
-                        }
-                    }
-                    Instr::Attn { items, .. } | Instr::AttnBwd { items, .. } => {
-                        let want_bwd = matches!(ins, Instr::AttnBwd { .. });
-                        if want_bwd != backward {
-                            return Err(DcpError::invalid_plan(
-                                "attention direction does not match phase",
-                            ));
-                        }
-                        for &c in items {
-                            if placement.comp_dev(c) != stream.device {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "comp block {:?} executed on wrong device",
-                                    c
-                                )));
-                            }
-                            if seen[c.0 as usize] {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "comp block {:?} scheduled twice",
-                                    c
-                                )));
-                            }
-                            seen[c.0 as usize] = true;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if let Some(missing) = seen.iter().position(|&s| !s) {
-            return Err(DcpError::invalid_plan(format!(
-                "comp block {missing} never scheduled"
-            )));
-        }
-        // Transfers reference correct owners/producers.
-        for op in &phase.comms {
-            for tr in &op.transfers {
-                let tb = tr.payload.token_block();
-                let owner = placement.token_to_dev[tb.0 as usize];
-                let ok = match tr.payload {
-                    Payload::Q(_) | Payload::Kv(_) | Payload::DO(_) => tr.from == owner,
-                    Payload::PartialO(_, p)
-                    | Payload::PartialDq(_, p)
-                    | Payload::PartialDkv(_, p) => tr.from == p && tr.to == owner,
-                };
-                if !ok {
-                    return Err(DcpError::invalid_plan(format!(
-                        "transfer {:?} inconsistent with ownership",
-                        tr
-                    )));
-                }
-                if tr.from == tr.to {
-                    return Err(DcpError::invalid_plan("self transfer"));
-                }
-            }
-        }
-    }
-    Ok(())
+/// The reduce byte model: read every partial plus the resident
+/// accumulator, write the accumulator.
+pub fn reduce_bytes(layout: &BatchLayout, items: &[ReduceItem]) -> u64 {
+    items
+        .iter()
+        .map(|it| {
+            let tb = &layout.token_blocks[it.target.0 as usize];
+            it.kind.bytes(tb) * (it.sources.len() as u64 + 2)
+        })
+        .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::verify_plan;
     use dcp_blocks::BlockConfig;
     use dcp_mask::MaskSpec;
     use dcp_types::AttnSpec;
@@ -605,7 +499,7 @@ mod tests {
         let l = layout(&[(4096, MaskSpec::Causal)], 512);
         let p = ring_placement(&l, 4);
         let plan = build_plan(&l, &p, &ScheduleConfig::default()).unwrap();
-        validate_plan(&l, &p, &plan).unwrap();
+        verify_plan(&l, &p, &plan).unwrap();
     }
 
     #[test]
@@ -613,7 +507,7 @@ mod tests {
         let l = layout(&[(2048, MaskSpec::Causal)], 512);
         let p = Placement::all_on_zero(&l, 4);
         let plan = build_plan(&l, &p, &ScheduleConfig::default()).unwrap();
-        validate_plan(&l, &p, &plan).unwrap();
+        verify_plan(&l, &p, &plan).unwrap();
         assert_eq!(plan.total_comm_bytes(), 0);
         assert!(plan.fwd.comms.is_empty());
     }
@@ -745,7 +639,7 @@ mod tests {
             },
         )
         .unwrap();
-        validate_plan(&l, &p, &plan).unwrap();
+        verify_plan(&l, &p, &plan).unwrap();
         for stream in &plan.fwd.devices {
             let attn_count = stream
                 .instrs

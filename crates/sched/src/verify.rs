@@ -149,8 +149,10 @@ pub type VerifyResult = Result<(), Diagnostic>;
 
 /// Recovery semantics of a phase: the one context both the verifier and
 /// the executor (`dcp_exec::execute_*_recovery`) take. The default context
-/// encodes a normal (non-recovery) plan; `RecoveryPatch::verify_ctx` and
-/// `BwdRecoveryPatch::verify_ctx` in `dcp-core` build the others.
+/// encodes a normal (non-recovery) plan. `dcp-core`'s recovery renderer
+/// builds the others, forward or backward alike, and
+/// `RecoveryPatch::verify_ctx` / `BwdRecoveryPatch::verify_ctx` hand them
+/// out. Deposits of every partial kind share one map.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyCtx {
     /// Dead logical streams of a recovery patch: the failed physical
@@ -161,17 +163,11 @@ pub struct VerifyCtx {
     /// Comm ids carrying raw accumulators from a dead stream to its
     /// replacement shards.
     pub salvage_comms: HashSet<u32>,
-    /// Shard that deposits each outstanding forward partial under the
-    /// original comm id, keyed by `(token block, original producer)` — the
-    /// payload's producer field still names the dead stream, and two dead
-    /// streams may hold distinct partials for the same token block.
-    pub producer_of: HashMap<(TokenBlockId, u32), u32>,
-    /// Shard that deposits each outstanding backward dQ partial under the
-    /// original comm id, keyed by `(token block, original producer)`.
-    pub producer_of_dq: HashMap<(TokenBlockId, u32), u32>,
-    /// Shard that deposits each outstanding backward dKV partial under the
-    /// original comm id, keyed by `(token block, original producer)`.
-    pub producer_of_dkv: HashMap<(TokenBlockId, u32), u32>,
+    /// Shard that deposits each outstanding partial (forward O, backward dQ
+    /// or dKV) under the original comm id, keyed by that partial: its
+    /// producer field still names the dead stream, and two dead streams may
+    /// owe distinct partials for the same token block.
+    pub producer_of: HashMap<Payload, u32>,
     /// Token blocks re-owned away from dead streams; their truncated
     /// prefixes may still read them locally.
     pub reowned: HashSet<TokenBlockId>,
@@ -181,13 +177,7 @@ impl VerifyCtx {
     /// The shard that deposits a dead stream's outstanding `partial` in its
     /// stead, if any.
     pub(crate) fn replacement(&self, partial: Payload) -> Option<u32> {
-        let (map, key) = match partial {
-            Payload::PartialO(tb, p) => (&self.producer_of, (tb, p)),
-            Payload::PartialDq(tb, p) => (&self.producer_of_dq, (tb, p)),
-            Payload::PartialDkv(tb, p) => (&self.producer_of_dkv, (tb, p)),
-            Payload::Q(_) | Payload::Kv(_) | Payload::DO(_) => return None,
-        };
-        map.get(&key).copied()
+        self.producer_of.get(&partial).copied()
     }
 }
 

@@ -5,8 +5,7 @@ use std::collections::HashSet;
 
 use dcp_blocks::{BatchLayout, BlockConfig, CompBlockId};
 use dcp_mask::MaskSpec;
-use dcp_sched::schedule::validate_plan;
-use dcp_sched::{build_plan, Instr, Payload, PayloadKind, Placement, ScheduleConfig};
+use dcp_sched::{build_plan, verify_plan, Instr, Payload, PayloadKind, Placement, ScheduleConfig};
 use dcp_types::AttnSpec;
 use proptest::prelude::*;
 
@@ -74,7 +73,25 @@ proptest! {
             divisions: t,
             ..Default::default()
         }).unwrap();
-        validate_plan(&layout, &placement, &plan).unwrap();
+        verify_plan(&layout, &placement, &plan).unwrap();
+        // The verifier admits input relays (the ring baselines use them);
+        // the scheduler never relays: in every op of both phases an input
+        // leaves its owner and a partial goes from its producer to the
+        // owner.
+        for phase in [&plan.fwd, &plan.bwd] {
+            for tr in phase.comms.iter().flat_map(|op| &op.transfers) {
+                let owner = placement.token_dev(tr.payload.token_block());
+                let (from, to) = match tr.payload.producer() {
+                    Some(p) => (p, owner),
+                    None => (owner, tr.to),
+                };
+                prop_assert!(
+                    tr.from == from && tr.to == to && tr.from != tr.to,
+                    "transfer {:?} is off its owner route",
+                    tr
+                );
+            }
+        }
     }
 
     /// Each remote input block is fetched at most once per destination

@@ -20,6 +20,10 @@ use serde::{Deserialize, Serialize};
 /// modeled as a near-total bandwidth collapse rather than a hard stop.
 pub const FAILED_LINK_FACTOR: f64 = 1e-3;
 
+/// Floor on the per-device network weight derived from degraded links, so a
+/// near-dead link never drives a placement target to zero.
+const MIN_NET_WEIGHT: f64 = 0.05;
+
 /// One injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Fault {
@@ -186,6 +190,32 @@ impl FaultSpec {
             }
         }
         out
+    }
+
+    /// Per-device capacity weights `[compute, bytes]` for `n` devices:
+    /// compute ∝ 1/slowdown, bytes ∝ the rate factor of the device's worst
+    /// incident link (flapping links contribute their duty-weighted mean,
+    /// floored so targets stay positive). `None` when the spec changes
+    /// nothing, so a fault-aware placement of a healthy cluster is
+    /// byte-identical to a fault-blind one.
+    pub fn capacity_weights(&self, n: usize) -> Option<Vec<[f64; 2]>> {
+        let slow = self.slowdowns(n);
+        let mut net = vec![1.0f64; n];
+        let links = self.link_factors().into_iter();
+        let flapping = (self.flapping_links().into_iter())
+            .map(|(src, dst, _period, duty, factor)| (src, dst, duty * factor + (1.0 - duty)));
+        for (src, dst, factor) in links.chain(flapping) {
+            for d in [src as usize, dst as usize] {
+                if d < n {
+                    net[d] = net[d].min(factor.max(MIN_NET_WEIGHT));
+                }
+            }
+        }
+        let w: Vec<[f64; 2]> = (0..n).map(|d| [1.0 / slow[d].max(1.0), net[d]]).collect();
+        if w.iter().all(|x| x[0] >= 1.0 - 1e-12 && x[1] >= 1.0 - 1e-12) {
+            return None;
+        }
+        Some(w)
     }
 }
 

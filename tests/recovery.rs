@@ -21,7 +21,7 @@ use dcp::core::{
 };
 use dcp::exec::executor::{
     execute_backward, execute_backward_recovery, execute_forward, execute_forward_recovery,
-    BatchData, BlockOut, ExecObs,
+    BatchData, BlockGrads, BlockOut, ExecObs,
 };
 use dcp::mask::MaskSpec;
 use dcp::obs::{FlightRecorder, ObsHandle, RecorderConfig, RecordingSink};
@@ -116,6 +116,21 @@ fn out_bits(outs: &HashMap<TokenBlockId, BlockOut>) -> Vec<u32> {
         let b = &outs[&id];
         bits.extend(b.o.iter().map(|v| v.to_bits()));
         bits.extend(b.lse.iter().map(|v| v.to_bits()));
+    }
+    bits
+}
+
+/// Bitwise fingerprint of backward gradients (dQ, dK, dV), in token-block
+/// order.
+fn grad_bits(grads: &HashMap<TokenBlockId, BlockGrads>) -> Vec<u32> {
+    let mut keys: Vec<TokenBlockId> = grads.keys().copied().collect();
+    keys.sort_by_key(|t| t.0);
+    let mut bits = Vec::new();
+    for id in keys {
+        let g = &grads[&id];
+        for v in [&g.dq, &g.dk, &g.dv] {
+            bits.extend(v.iter().map(|x| x.to_bits()));
+        }
     }
     bits
 }
@@ -540,7 +555,9 @@ proptest! {
 
     /// Randomized kills — any (survivor count, victim, frontier) — produce
     /// a patch that passes the stream verifier and executes to merged
-    /// output bitwise equal to the clean run at 1, 2 and 8 rayon threads.
+    /// output bitwise equal to the clean run at 1, 2 and 8 rayon threads;
+    /// a backward-phase kill at the same victim and relative frontier
+    /// salvages to gradients bitwise equal to the clean backward.
     #[test]
     fn random_failures_recover_bitwise(
         n in 2u32..6,
@@ -583,7 +600,7 @@ proptest! {
             .map_err(|d| TestCaseError::fail(format!("timing rejected: {d}")))?;
 
         let data = BatchData::random(&out.layout, seed ^ 0xD15EA5E);
-        let clean = execute_forward(&out.layout, &out.placement, &out.plan, &data).unwrap();
+        let (clean, d_o) = clean_run(&out, &data);
         let ctx = patch.verify_ctx();
         let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut bits: Option<Vec<u32>> = None;
@@ -610,5 +627,35 @@ proptest! {
             }
         }
         std::env::remove_var("RAYON_NUM_THREADS");
+
+        // The same victim failing at the same relative frontier of its
+        // backward stream: salvaged gradients equal the clean backward.
+        let ndb = out.plan.bwd.devices[dev as usize]
+            .instrs
+            .iter()
+            .filter(|ins| matches!(ins, Instr::AttnBwd { .. }))
+            .count() as u32;
+        let bpatch = RecoveryPlanner::new(RecoveryConfig::default())
+            .plan_backward_recovery(
+                &out,
+                &FailureEvent { device: dev, divisions_done: ndb * frac / 4 },
+            )
+            .unwrap();
+        dcp::sched::verify_structure(&bpatch.timing)
+            .map_err(|d| TestCaseError::fail(format!("bwd timing rejected: {d}")))?;
+        let clean_grads =
+            execute_backward(&out.layout, &out.placement, &out.plan, &data, &clean, &d_o).unwrap();
+        let rec_grads = execute_backward_recovery(
+            &out.layout,
+            &bpatch.placement,
+            &bpatch.bwd,
+            &data,
+            &clean,
+            &d_o,
+            &bpatch.verify_ctx(),
+            &ExecObs::disabled(),
+        )
+        .unwrap();
+        prop_assert_eq!(grad_bits(&clean_grads), grad_bits(&rec_grads));
     }
 }

@@ -13,7 +13,7 @@ use dcp::core::dataloader::PlanFn;
 use dcp::core::{DcpDataloader, Planner, PlannerConfig, RetryConfig};
 use dcp::data::Batch;
 use dcp::mask::MaskSpec;
-use dcp::sched::schedule::validate_plan;
+use dcp::sched::verify_plan;
 use dcp::sim::{simulate_plan_faulted, Fault, FaultSpec};
 use dcp::types::{AttnSpec, ClusterSpec, DcpError, PlanTier};
 
@@ -86,7 +86,7 @@ fn faulted_pipeline_yields_every_batch_once_with_valid_plans() {
     let mut yielded = Vec::new();
     for item in loader.by_ref() {
         let (batch, out) = item.expect("every batch must survive the faults");
-        validate_plan(&out.layout, &out.placement, &out.plan).expect("plan is valid");
+        verify_plan(&out.layout, &out.placement, &out.plan).expect("plan is valid");
         assert_eq!(
             out.tier,
             PlanTier::Partitioned,
@@ -129,7 +129,7 @@ fn epsilon_infeasible_request_degrades_to_a_valid_static_plan() {
         "the reason records the skipped tier: {:?}",
         out.fallback_reason
     );
-    validate_plan(&out.layout, &out.placement, &out.plan).expect("fallback plan is valid");
+    verify_plan(&out.layout, &out.placement, &out.plan).expect("fallback plan is valid");
 
     // With the chain disabled the same request surfaces the infeasibility.
     let strict = Planner::new(
@@ -234,7 +234,7 @@ fn persistent_planner_failure_surfaces_typed_error_without_poisoning() {
         } else {
             let (batch, out) = r.as_ref().expect("other batches are unaffected");
             assert_eq!(batch, &bs[i]);
-            validate_plan(&out.layout, &out.placement, &out.plan).unwrap();
+            verify_plan(&out.layout, &out.placement, &out.plan).unwrap();
         }
     }
 }
